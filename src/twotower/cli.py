@@ -113,16 +113,18 @@ def _cmd_verify(args) -> int:
 def _cmd_explore(args) -> int:
     spec = _parse_discs(args.discs)
     wide = not args.narrow
-    vectors: dict[str, set[int]] = {}
-    for row in splitlab.iter_rows(spec, args.bound, wide=wide):
-        vectors.setdefault(row.symbol_key(), set()).add(row.order_2part)
-        if not args.summary_only:
-            print(row.tsv())
+
+    def rows():
+        for row in splitlab.iter_rows(spec, args.bound, wide=wide):
+            if not args.summary_only:
+                print(row.tsv())
+            yield row
+
     summary = {
         "discs": list(spec.values()),
         "bound": args.bound,
         "group": "wide" if wide else "narrow",
-        "vectors": {key: sorted(parts) for key, parts in sorted(vectors.items())},
+        "vectors": splitlab.summarize_rows(rows()),
     }
     print("# summary\t" + json.dumps(summary))
     return EXIT_OK

@@ -270,13 +270,6 @@ class _ClassTable:
         a, b, c = self.reps[i]
         return self.class_index((a, -b, c))
 
-    def order(self, i: int) -> int:
-        o = self.h_plus
-        for p in factorization(self.h_plus):
-            while o % p == 0 and self.pow(i, o // p) == self.principal:
-                o //= p
-        return o
-
     def order_2part_mod(self, i: int, wide: bool) -> int:
         """Largest 2-power dividing the class order, narrow or wide."""
         h = self.h_wide if wide else self.h_plus
@@ -500,14 +493,6 @@ def wide_class_group(d: int, bound: int | None = None) -> AbelianGroupStructure:
             )
     _wide_cache[d] = out
     return out
-
-
-def class_number_wide(d: int, bound: int | None = None) -> int:
-    return _table(d, bound).h_wide
-
-
-def class_number_narrow(d: int, bound: int | None = None) -> int:
-    return _table(d, bound).h_plus
 
 
 def negative_pell_solvable(d: int) -> bool:

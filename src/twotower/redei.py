@@ -183,12 +183,10 @@ def classify_open_case(spec: QuadFieldSpec) -> CaseId:
     if spec.t != 5 or spec.discriminant > 0:
         raise ValueError("classification is defined for imaginary fields with t = 5")
     discs = spec.discs
-    # Pairwise symbol table in spec order; permutations just reindex it.
-    a = [[0] * 5 for _ in range(5)]
-    for i in range(5):
-        for j in range(5):
-            if i != j:
-                a[i][j] = 0 if kronecker(discs[i].value, discs[j].prime) == 1 else 1
+    # Permutations just reindex the Redei matrix; every catalog diagonal is a
+    # wildcard, so only the off-diagonal symbols are ever compared.
+    m = redei_matrix(spec)
+    a = m.entries
     for case in catalog_cases():
         slots: list[list[int]] = [
             [i for i in range(5) if _slot_ok(code, discs[i])] for code in case.signs
@@ -211,8 +209,7 @@ def classify_open_case(spec: QuadFieldSpec) -> CaseId:
                         "NotOpen", perm, f"resolved elsewhere: {case.tag} ({case.note})"
                     )
                 return CaseId(case.tag, perm)
-    d4 = four_rank_narrow(spec)
-    if d4 >= 3:
+    if spec.t - 1 - f2_rank(m) >= 3:
         reason = "4-rank >= 3: infinite 2-tower already known (Hajir), not an open case"
     else:
         reason = "no open-case match: settled in the literature or outside the catalog"

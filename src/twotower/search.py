@@ -24,7 +24,7 @@ from .arith import (
 )
 from .errors import Exhausted, TemplateMismatch
 from .quadforms import wide_class_group
-from .redei import CatalogCase, catalog_cases, classify_open_case, f2_rank, redei_matrix
+from .redei import CatalogCase, _slot_ok, catalog_cases, classify_open_case, f2_rank, redei_matrix
 
 
 def _case_by_tag(tag) -> CatalogCase:
@@ -33,14 +33,6 @@ def _case_by_tag(tag) -> CatalogCase:
         if case.tag == name and case.status == "open":
             return case
     raise TemplateMismatch(f"unknown or non-open catalog case {name!r}")
-
-
-def _slot_sign_ok(code: str, value: int) -> bool:
-    if code == "4":
-        return value == -4
-    if code == "-":
-        return value < 0 and value != -4
-    return value > 0
 
 
 def _entry(v_num: int, p_den: int) -> int:
@@ -83,8 +75,7 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     known = {i: v for i, v in enumerate(slots) if v is not None}
     holes = [i for i, v in enumerate(slots) if v is None]
     for i, v in known.items():
-        PrimeDiscriminant.from_value(v)
-        if not _slot_sign_ok(cat.signs[i], v):
+        if not _slot_ok(cat.signs[i], PrimeDiscriminant.from_value(v)):
             raise TemplateMismatch(f"slot {i}: {v} does not fit sign code {cat.signs[i]!r}")
     known_primes = {PrimeDiscriminant.from_value(v).prime for v in known.values()}
     if len(known_primes) != len(known):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .arith import QuadFieldSpec, is_prime, kronecker, primes_up_to
 from .errors import PreconditionUnmet
@@ -50,10 +50,7 @@ class SplittingExperiment:
     rows: tuple[ExperimentRow, ...]
 
     def summary(self) -> dict[str, list[int]]:
-        acc: dict[str, set[int]] = {}
-        for row in self.rows:
-            acc.setdefault(row.symbol_key(), set()).add(row.order_2part)
-        return {key: sorted(parts) for key, parts in sorted(acc.items())}
+        return summarize_rows(self.rows)
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,14 @@ def iter_rows(
             info.order_2part,
             splitting_count(f, p, wide=wide),
         )
+
+
+def summarize_rows(rows: Iterable[ExperimentRow]) -> dict[str, list[int]]:
+    """The order 2-parts seen under each symbol vector, both sorted."""
+    acc: dict[str, set[int]] = {}
+    for row in rows:
+        acc.setdefault(row.symbol_key(), set()).add(row.order_2part)
+    return {key: sorted(parts) for key, parts in sorted(acc.items())}
 
 
 def explore_symbol_dependence(

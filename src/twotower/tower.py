@@ -7,6 +7,11 @@ ramified primes of K that are unramified in F.  Splitting counts come
 from the decomposition law, never from constructing L.  Certificates
 carry enough witness data to be replayed from scratch; everything that
 fails is recorded as a near-miss diagnostic.
+
+The table CRITERIA, with the base-field shapes in BASE_KINDS, is the
+single source of the base-field criteria and of their attempt order: the
+analyze loop, the lemma_* functions, the near-miss diagnostics and
+replay_certificate all read it.
 """
 
 from __future__ import annotations
@@ -194,87 +199,77 @@ def _prop32_diag(name: str, f: QuadFieldSpec, check: ThresholdCheck) -> Diagnost
     )
 
 
-def _attempt_triple(k: QuadFieldSpec, triple) -> tuple[Certificate | None, list[Diagnostic]]:
-    f = _sub_spec(k, triple)
-    rest = [k.discs[i].prime for i in range(k.t) if i not in triple]
-    c = cl2_order(f)
-    wit = _witnesses(f, rest)
-    n_inert = sum(1 for w in wit if w.split_type == "inert")
-    check = _bound_check(f, c, wit)
-    diags = []
-    name = "triple-16-two-inert"
-    if c >= 16 and n_inert >= 2 and check.holds():
-        return Certificate(name, f.values(), c, wit, check), diags
-    if c < 16:
-        diags.append(Diagnostic(f"{name}:cl2", c, 16, f"F={list(f.values())}"))
-    if n_inert < 2:
-        diags.append(Diagnostic(f"{name}:inert", n_inert, 2, f"F={list(f.values())}"))
-    diags.append(_prop32_diag(name, f, check))
-    return None, diags
+@dataclass(frozen=True)
+class BaseKind:
+    """Shape of a base field F: how many of K's discs it takes and their signs."""
+
+    size: int
+    positives: tuple[int, ...]  # admissible counts of positive discs in F
+    sign_rule: str  # why a choice of discs with other signs is refused
+    label: str | None = None  # prop32-bound prefix; None: the kind's one criterion
+
+    def fits(self, values) -> bool:
+        return len(values) == self.size and sum(v > 0 for v in values) in self.positives
 
 
-def _attempt_pos_pair(k: QuadFieldSpec, pair) -> tuple[Certificate | None, list[Diagnostic]]:
-    f = _sub_spec(k, pair)
-    rest = [k.discs[i].prime for i in range(k.t) if i not in pair]
+@dataclass(frozen=True)
+class Criterion:
+    """One base-field lemma: the minima |Cl_2(F)| and the witness counts must reach."""
+
+    name: str
+    base_kind: str
+    min_cl2: int
+    min_inert: int
+    min_total_split: int = 0
+
+    def shortfalls(self, c: int, witnesses) -> list[tuple[str, int, int]]:
+        """(part, achieved, required) for every minimum F falls short of."""
+        achieved = (
+            c,
+            sum(1 for w in witnesses if w.split_type == "inert"),
+            sum(1 for w in witnesses if w.split_type == "split" and w.order_2part == 1),
+        )
+        required = (self.min_cl2, self.min_inert, self.min_total_split)
+        return [
+            (part, got, need)
+            for part, got, need in zip(("cl2", "inert", "split-complete"), achieved, required)
+            if got < need
+        ]
+
+
+BASE_KINDS = {
+    "triple": BaseKind(3, (0, 2), "chosen discs must have negative product"),
+    "pos-pair": BaseKind(2, (2,), "chosen discs must be positive", "pos-pair"),
+    "mixed-pair": BaseKind(2, (1,), "chosen discs must have opposite sign", "mixed-pair"),
+}
+
+# The single source of the base-field criteria.  analyze tries base fields
+# largest first, in index-combination order, and on each one the criteria
+# of its kind in this order; the first that passes gives the certificate.
+CRITERIA = (
+    Criterion("triple-16-two-inert", "triple", 16, 2),
+    Criterion("pos-pair-8-one-inert", "pos-pair", 8, 1),
+    Criterion("pos-pair-4-two-inert", "pos-pair", 4, 2),
+    Criterion("mixed-16-two-inert", "mixed-pair", 16, 2),
+    Criterion("mixed-4-one-inert-one-split", "mixed-pair", 4, 1, 1),
+)
+
+
+def _attempt(k: QuadFieldSpec, kind: str, idx) -> tuple[Certificate | None, list[Diagnostic]]:
+    f = _sub_spec(k, idx)
+    rest = [k.discs[i].prime for i in range(k.t) if i not in idx]
     c = cl2_order(f)  # wide: L = F^1_(2) is unramified at infinity too
     wit = _witnesses(f, rest)
-    n_inert = sum(1 for w in wit if w.split_type == "inert")
     check = _bound_check(f, c, wit)
+    criteria = [cr for cr in CRITERIA if cr.base_kind == kind]
+    where = f"F={list(f.values())}"
     diags = []
-    if c >= 8 and n_inert >= 1 and check.holds():
-        return Certificate("pos-pair-8-one-inert", f.values(), c, wit, check), diags
-    if c >= 4 and n_inert >= 2 and check.holds():
-        return Certificate("pos-pair-4-two-inert", f.values(), c, wit, check), diags
-    if c < 8:
-        diags.append(Diagnostic("pos-pair-8-one-inert:cl2", c, 8, f"F={list(f.values())}"))
-    if n_inert < 1:
-        diags.append(Diagnostic("pos-pair-8-one-inert:inert", n_inert, 1, f"F={list(f.values())}"))
-    if c < 4:
-        diags.append(Diagnostic("pos-pair-4-two-inert:cl2", c, 4, f"F={list(f.values())}"))
-    if n_inert < 2:
-        diags.append(Diagnostic("pos-pair-4-two-inert:inert", n_inert, 2, f"F={list(f.values())}"))
-    diags.append(_prop32_diag("pos-pair", f, check))
-    return None, diags
-
-
-def _attempt_mixed_pair(k: QuadFieldSpec, pair) -> tuple[Certificate | None, list[Diagnostic]]:
-    f = _sub_spec(k, pair)
-    rest = [k.discs[i].prime for i in range(k.t) if i not in pair]
-    c = cl2_order(f)
-    wit = _witnesses(f, rest)
-    n_inert = sum(1 for w in wit if w.split_type == "inert")
-    n_total_split = sum(
-        1 for w in wit if w.split_type == "split" and w.order_2part == 1
-    )
-    check = _bound_check(f, c, wit)
-    diags = []
-    if c >= 16 and n_inert >= 2 and check.holds():
-        return Certificate("mixed-16-two-inert", f.values(), c, wit, check), diags
-    if c >= 4 and n_inert >= 1 and n_total_split >= 1 and check.holds():
-        return (
-            Certificate("mixed-4-one-inert-one-split", f.values(), c, wit, check),
-            diags,
-        )
-    if c < 16:
-        diags.append(Diagnostic("mixed-16-two-inert:cl2", c, 16, f"F={list(f.values())}"))
-    if n_inert < 2:
-        diags.append(Diagnostic("mixed-16-two-inert:inert", n_inert, 2, f"F={list(f.values())}"))
-    if c < 4:
-        diags.append(Diagnostic("mixed-4-one-inert-one-split:cl2", c, 4, f"F={list(f.values())}"))
-    if n_inert < 1:
-        diags.append(
-            Diagnostic("mixed-4-one-inert-one-split:inert", n_inert, 1, f"F={list(f.values())}")
-        )
-    if n_total_split < 1:
-        diags.append(
-            Diagnostic(
-                "mixed-4-one-inert-one-split:split-complete",
-                n_total_split,
-                1,
-                f"F={list(f.values())}",
-            )
-        )
-    diags.append(_prop32_diag("mixed-pair", f, check))
+    for cr in criteria:
+        short = cr.shortfalls(c, wit)
+        if not short and check.holds():
+            return Certificate(cr.name, f.values(), c, wit, check), []
+        diags += [Diagnostic(f"{cr.name}:{part}", got, need, where) for part, got, need in short]
+    diags.append(_prop32_diag(BASE_KINDS[kind].label or criteria[0].name, f, check))
     return None, diags
 
 
@@ -283,39 +278,32 @@ def _require(cond: bool, msg: str) -> None:
         raise PreconditionUnmet(msg)
 
 
+def _lemma(k: QuadFieldSpec, kind: str, idx) -> Certificate | None:
+    shape = BASE_KINDS[kind]
+    idx = tuple(sorted(idx))
+    _require(k.is_imaginary, "K must be imaginary")
+    _require(
+        len(set(idx)) == len(idx) == shape.size and all(0 <= i < k.t for i in idx),
+        "bad indices",
+    )
+    _require(k.t > shape.size, "at least one prime of K must stay unramified in F")
+    _require(shape.fits([k.discs[i].value for i in idx]), shape.sign_rule)
+    return _attempt(k, kind, idx)[0]
+
+
 def lemma_triple(k: QuadFieldSpec, triple) -> Certificate | None:
     """Certificate from an imaginary three-disc base field, if the criteria hold."""
-    triple = tuple(sorted(triple))
-    _require(k.is_imaginary, "K must be imaginary")
-    _require(len(set(triple)) == 3 and all(0 <= i < k.t for i in triple), "bad indices")
-    _require(k.t >= 4, "at least one prime of K must stay unramified in F")
-    prod = 1
-    for i in triple:
-        prod *= k.discs[i].value
-    _require(prod < 0, "chosen discs must have negative product")
-    return _attempt_triple(k, triple)[0]
+    return _lemma(k, "triple", triple)
 
 
 def lemma_pos_pair(k: QuadFieldSpec, pair) -> Certificate | None:
     """Certificate from a real base field on two positive discs, if the criteria hold."""
-    pair = tuple(sorted(pair))
-    _require(k.is_imaginary, "K must be imaginary")
-    _require(len(set(pair)) == 2 and all(0 <= i < k.t for i in pair), "bad indices")
-    _require(k.t >= 3, "at least one prime of K must stay unramified in F")
-    _require(all(k.discs[i].value > 0 for i in pair), "chosen discs must be positive")
-    return _attempt_pos_pair(k, pair)[0]
+    return _lemma(k, "pos-pair", pair)
 
 
 def lemma_mixed_pair(k: QuadFieldSpec, pair) -> Certificate | None:
     """Certificate from an imaginary base field on two opposite-sign discs."""
-    pair = tuple(sorted(pair))
-    _require(k.is_imaginary, "K must be imaginary")
-    _require(len(set(pair)) == 2 and all(0 <= i < k.t for i in pair), "bad indices")
-    _require(k.t >= 3, "at least one prime of K must stay unramified in F")
-    s0 = k.discs[pair[0]].value > 0
-    s1 = k.discs[pair[1]].value > 0
-    _require(s0 != s1, "chosen discs must have opposite sign")
-    return _attempt_mixed_pair(k, pair)[0]
+    return _lemma(k, "mixed-pair", pair)
 
 
 def kl_rank_lower_bound(k: QuadFieldSpec, f: QuadFieldSpec) -> int:
@@ -331,11 +319,23 @@ def kl_rank_lower_bound(k: QuadFieldSpec, f: QuadFieldSpec) -> int:
     return total - 1 - (c if f.discriminant < 0 else 0)
 
 
+def _base_fields(k: QuadFieldSpec):
+    """(kind, indices) of every base field analyze tries, in attempt order."""
+    for size in sorted({shape.size for shape in BASE_KINDS.values()}, reverse=True):
+        if k.t <= size:
+            continue
+        for idx in itertools.combinations(range(k.t), size):
+            values = [k.discs[i].value for i in idx]
+            for kind, shape in BASE_KINDS.items():
+                if shape.fits(values):
+                    yield kind, idx
+
+
 def analyze(k: QuadFieldSpec) -> TowerReport:
     """Full verdict for an imaginary quadratic field.
 
     Applies Golod-Shafarevich on the 2-rank, then every sign-admissible
-    triple and pair through the base-field lemmas in a fixed order; the
+    triple and pair through the criteria of CRITERIA in a fixed order; the
     first certificate wins and any further passes are listed in the
     diagnostics.
     """
@@ -360,28 +360,8 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
         diagnostics.append(
             Diagnostic("gs-two-rank", d2, gs_required(1), "direct Golod-Shafarevich on K")
         )
-        attempts = []
-        if k.t >= 4:
-            for triple in itertools.combinations(range(k.t), 3):
-                prod = 1
-                for i in triple:
-                    prod *= k.discs[i].value
-                if prod < 0:
-                    attempts.append(("triple", triple))
-        if k.t >= 3:
-            for pair in itertools.combinations(range(k.t), 2):
-                pos = sum(1 for i in pair if k.discs[i].value > 0)
-                if pos == 2:
-                    attempts.append(("pos-pair", pair))
-                elif pos == 1:
-                    attempts.append(("mixed-pair", pair))
-        for kind, idx in attempts:
-            fn = {
-                "triple": _attempt_triple,
-                "pos-pair": _attempt_pos_pair,
-                "mixed-pair": _attempt_mixed_pair,
-            }[kind]
-            cert, diags = fn(k, idx)
+        for kind, idx in _base_fields(k):
+            cert, diags = _attempt(k, kind, idx)
             if cert is not None and certificate is None:
                 certificate = cert
             elif cert is not None:
@@ -406,8 +386,13 @@ def replay_certificate(cert: Certificate, k: QuadFieldSpec) -> bool:
             cert.threshold_check.lhs == d2
             and gs_infinite(d2, cert.threshold_check.unit_2rank)
         )
+    criterion = next((cr for cr in CRITERIA if cr.name == cert.criterion), None)
+    if criterion is None:
+        return False
     f = QuadFieldSpec.from_disc_values(cert.base_field_discs)
     if not set(f.values()) <= set(k.values()):
+        return False
+    if not BASE_KINDS[criterion.base_kind].fits(f.values()):
         return False
     c = cl2_order(f)
     if c != cert.cl2_order:
@@ -422,18 +407,4 @@ def replay_certificate(cert: Certificate, k: QuadFieldSpec) -> bool:
     check = _bound_check(f, c, cert.witnesses)
     if check != cert.threshold_check or not check.holds():
         return False
-    n_inert = sum(1 for w in cert.witnesses if w.split_type == "inert")
-    n_split = sum(
-        1 for w in cert.witnesses if w.split_type == "split" and w.order_2part == 1
-    )
-    needs = {
-        "triple-16-two-inert": c >= 16 and n_inert >= 2 and f.discriminant < 0,
-        "pos-pair-8-one-inert": c >= 8 and n_inert >= 1 and f.discriminant > 0,
-        "pos-pair-4-two-inert": c >= 4 and n_inert >= 2 and f.discriminant > 0,
-        "mixed-16-two-inert": c >= 16 and n_inert >= 2 and f.discriminant < 0,
-        "mixed-4-one-inert-one-split": c >= 4
-        and n_inert >= 1
-        and n_split >= 1
-        and f.discriminant < 0,
-    }
-    return needs.get(cert.criterion, False)
+    return not criterion.shortfalls(c, cert.witnesses)

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -254,3 +255,85 @@ def test_analyze_fuzz_replay_and_serialize():
         if rep.certificate is not None:
             assert replay_certificate(rep.certificate, k), combo
         assert rep.to_json()  # serializes
+
+
+def test_replay_rejects_criterion_on_wrong_base_shape():
+    # A three-disc base field may only back the triple criterion: the same
+    # witnesses relabelled as a mixed-pair certificate must not replay.
+    k = complete_tuple("A", [None, None, -7, -19, -3], 500, count=1)[0]
+    cert = analyze(k).certificate
+    assert cert.criterion == "triple-16-two-inert" and len(cert.base_field_discs) == 3
+    assert replay_certificate(cert, k)
+    for name in ("mixed-16-two-inert", "pos-pair-4-two-inert", "no-such-criterion"):
+        assert not replay_certificate(dataclasses.replace(cert, criterion=name), k), name
+
+
+EX36_DIAGNOSTICS = [
+    ("gs-two-rank", 4, 5),
+    ("triple-16-two-inert:cl2", 4, 16),
+    ("triple-16-two-inert:inert", 1, 2),
+    ("prop32-bound", 3, 8),
+    ("triple-16-two-inert:inert", 1, 2),
+    ("prop32-bound", 3, 14),
+    ("triple-16-two-inert:cl2", 4, 16),
+    ("prop32-bound", 3, 8),
+    ("triple-16-two-inert:cl2", 4, 16),
+    ("triple-16-two-inert:inert", 0, 2),
+    ("prop32-bound", 3, 8),
+    ("mixed-16-two-inert:cl2", 4, 16),
+    ("mixed-4-one-inert-one-split:split-complete", 0, 1),
+    ("prop32-bound", 5, 8),
+    ("mixed-16-two-inert:cl2", 2, 16),
+    ("mixed-16-two-inert:inert", 1, 2),
+    ("mixed-4-one-inert-one-split:cl2", 2, 4),
+    ("prop32-bound", 5, 7),
+    ("mixed-16-two-inert:cl2", 2, 16),
+    ("mixed-16-two-inert:inert", 1, 2),
+    ("mixed-4-one-inert-one-split:cl2", 2, 4),
+    ("prop32-bound", 5, 7),
+    ("mixed-16-two-inert:cl2", 2, 16),
+    ("mixed-4-one-inert-one-split:cl2", 2, 4),
+    ("mixed-4-one-inert-one-split:split-complete", 0, 1),
+    ("prop32-bound", 3, 7),
+    ("mixed-16-two-inert:cl2", 2, 16),
+    ("mixed-4-one-inert-one-split:cl2", 2, 4),
+    ("mixed-4-one-inert-one-split:split-complete", 0, 1),
+    ("prop32-bound", 3, 7),
+    ("mixed-16-two-inert:cl2", 2, 16),
+    ("mixed-4-one-inert-one-split:cl2", 2, 4),
+    ("mixed-4-one-inert-one-split:split-complete", 0, 1),
+    ("prop32-bound", 3, 7),
+    ("pos-pair-8-one-inert:cl2", 4, 8),
+    ("pos-pair-4-two-inert:inert", 1, 2),
+    ("prop32-bound", 7, 8),
+]
+
+SCHMITHALS_DIAGNOSTICS = [
+    ("gs-two-rank", 2, 5),
+    ("mixed-16-two-inert:cl2", 4, 16),
+    ("mixed-16-two-inert:inert", 1, 2),
+    ("mixed-4-one-inert-one-split:split-complete", 0, 1),
+    ("prop32-bound", -1, 8),
+    ("mixed-16-two-inert:cl2", 2, 16),
+    ("mixed-16-two-inert:inert", 0, 2),
+    ("mixed-4-one-inert-one-split:cl2", 2, 4),
+    ("mixed-4-one-inert-one-split:inert", 0, 1),
+    ("prop32-bound", 1, 7),
+]
+
+
+@pytest.mark.parametrize(
+    "k, want, labels",
+    [
+        (EX36, EX36_DIAGNOSTICS, ["triple-16-two-inert"] * 4 + ["mixed-pair"] * 6 + ["pos-pair"]),
+        (SCHMITHALS, SCHMITHALS_DIAGNOSTICS, ["mixed-pair"] * 2),
+    ],
+)
+def test_analyze_diagnostic_sequence(k, want, labels):
+    # Triples come before pairs, base fields in index-combination order; per
+    # base field the cl2, inert and split-complete misses of each criterion
+    # in table order, closed by its prop32-bound record.
+    report = analyze(k)
+    assert [(d.criterion, d.achieved, d.required) for d in report.diagnostics] == want
+    prop32 = [d.detail for d in report.diagnostics if d.criterion == "prop32-bound"]
+    assert [detail.split(" F=")[0] for detail in prop32] == labels
