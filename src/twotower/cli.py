@@ -19,7 +19,7 @@ from .arith import QuadFieldSpec, prime_disc_factorization
 from .errors import TwoTowerError
 from .quadforms import narrow_class_group, wide_class_group
 from .redei import catalog_text
-from .tower import analyze
+from .tower import analyze, cl2_order
 
 EXIT_OK = 0
 EXIT_VIOLATIONS = 1
@@ -93,8 +93,7 @@ def _cmd_search(args) -> int:
             args.template, args.min_cl2, args.rank_max, args.bound
         )
         for spec in specs:
-            cl2 = wide_class_group(spec.discriminant).two_part_order
-            print(_search_json(spec, None, cl2))
+            print(_search_json(spec, None, cl2_order(spec)))
     return EXIT_OK
 
 

@@ -8,6 +8,11 @@ D < 0, and for D > 0 exactly when x^2 - D y^2 = -4 is solvable).
 Everything works at desk scale: enumerate every reduced form, partition
 indefinite forms into reduction cycles, and extract elementary divisors
 by torsion counting plus a maximal-order peel for generators.
+
+class_number is the cheap path: it reads h off the reduced-form table
+and skips the structure computation, so callers that need only |Cl_2|
+(the 2-part of h) never pay for it.  Tables and structures are kept in
+LRU caches of _TABLE_CACHE_SIZE entries each.
 """
 
 from __future__ import annotations
@@ -50,9 +55,12 @@ def max_disc_bound(override: int | None = None) -> int:
     return int(env) if env else DEFAULT_MAX_DISC
 
 
-def _check_disc(d: int, bound: int | None = None) -> None:
+def _check_bound(d: int, bound: int | None = None) -> None:
     if abs(d) > max_disc_bound(bound):
         raise BoundExceeded(f"|{d}| exceeds the configured discriminant bound")
+
+
+def _check_fundamental(d: int) -> None:
     if not is_fundamental(d):
         raise NotFundamental(f"{d} is not a fundamental discriminant")
 
@@ -285,21 +293,46 @@ class _ClassTable:
         return part
 
 
-_tables: OrderedDict[int, _ClassTable] = OrderedDict()
 _TABLE_CACHE_SIZE = 48
 
 
+class _LRUCache(OrderedDict):
+    """Per-discriminant cache that keeps the _TABLE_CACHE_SIZE most recently used entries."""
+
+    def lookup(self, d: int):
+        got = self.get(d)
+        if got is not None:
+            self.move_to_end(d)
+        return got
+
+    def store(self, d: int, value):
+        self[d] = value
+        while len(self) > _TABLE_CACHE_SIZE:
+            self.popitem(last=False)
+        return value
+
+
+_tables = _LRUCache()
+
+
 def _table(d: int, bound: int | None = None) -> _ClassTable:
-    _check_disc(d, bound)
-    t = _tables.get(d)
+    # The bound is checked on every call; fundamentality (which factors |d|)
+    # only on a miss, since only fundamental d are ever cached.
+    _check_bound(d, bound)
+    t = _tables.lookup(d)
     if t is None:
-        t = _ClassTable(d)
-        _tables[d] = t
-        while len(_tables) > _TABLE_CACHE_SIZE:
-            _tables.popitem(last=False)
-    else:
-        _tables.move_to_end(d)
+        _check_fundamental(d)
+        t = _tables.store(d, _ClassTable(d))
     return t
+
+
+def class_number(d: int, wide: bool = True, bound: int | None = None) -> int:
+    """Class number of Q(sqrt(d)), wide by default, without the group structure.
+
+    Raises BoundExceeded and NotFundamental exactly as wide_class_group does.
+    """
+    t = _table(d, bound)
+    return t.h_wide if wide else t.h_plus
 
 
 @dataclass(frozen=True)
@@ -430,15 +463,14 @@ def _structure(elements, mul, powf, inv, identity):
     return tuple(divisors_desc), gens
 
 
-_narrow_cache: dict[int, AbelianGroupStructure] = {}
-_wide_cache: dict[int, AbelianGroupStructure] = {}
+_narrow_cache = _LRUCache()
+_wide_cache = _LRUCache()
 
 
 def narrow_class_group(d: int, bound: int | None = None) -> AbelianGroupStructure:
     """Structure of the narrow class group Cl+(Q(sqrt(d)))."""
-    if abs(d) > max_disc_bound(bound):
-        raise BoundExceeded(f"|{d}| exceeds the configured discriminant bound")
-    got = _narrow_cache.get(d)
+    _check_bound(d, bound)
+    got = _narrow_cache.lookup(d)
     if got is not None:
         return got
     t = _table(d, bound)
@@ -450,15 +482,13 @@ def narrow_class_group(d: int, bound: int | None = None) -> AbelianGroupStructur
         t.h_plus,
         tuple(QuadForm(*t.reps[g]) for g in reversed(gens)),
     )
-    _narrow_cache[d] = out
-    return out
+    return _narrow_cache.store(d, out)
 
 
 def wide_class_group(d: int, bound: int | None = None) -> AbelianGroupStructure:
     """Structure of the wide class group Cl(Q(sqrt(d)))."""
-    if abs(d) > max_disc_bound(bound):
-        raise BoundExceeded(f"|{d}| exceeds the configured discriminant bound")
-    got = _wide_cache.get(d)
+    _check_bound(d, bound)
+    got = _wide_cache.lookup(d)
     if got is not None:
         return got
     if d < 0:
@@ -491,8 +521,7 @@ def wide_class_group(d: int, bound: int | None = None) -> AbelianGroupStructure:
                 t.h_wide,
                 tuple(QuadForm(*t.reps[g]) for g in reversed(gens)),
             )
-    _wide_cache[d] = out
-    return out
+    return _wide_cache.store(d, out)
 
 
 def negative_pell_solvable(d: int) -> bool:
@@ -503,7 +532,7 @@ def negative_pell_solvable(d: int) -> bool:
     """
     if d <= 0:
         raise ValueError("negative Pell detection needs d > 0")
-    _check_disc(d, abs(d))
+    _check_fundamental(d)
     f = _reduce_indef(*principal_form(d), d)
     return any(g[0] == -1 for g in _cycle(f, d))
 

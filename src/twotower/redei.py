@@ -3,13 +3,12 @@
 The classification catalog (catalog.txt) lists the open 5x5 matrix cases
 for imaginary quadratic fields with five ramified primes, in the
 numbering of Sueyoshi's and Benjamin's casework; a field is classified by
-searching sign-respecting permutations of its prime discriminants for an
-exact match of the fixed entries.
+backtracking over assignments of its prime discriminants to catalog slots,
+checking sign codes and fixed entries as each slot is filled.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from importlib import resources
 
@@ -67,9 +66,13 @@ def f2_rank(m: RedeiMatrix) -> int:
     return rank
 
 
+def _four_rank(m: RedeiMatrix) -> int:
+    return m.t - 1 - f2_rank(m)
+
+
 def four_rank_narrow(spec: QuadFieldSpec) -> int:
     """d4 of the narrow class group, via the Redei-Reichardt rank formula."""
-    return spec.t - 1 - f2_rank(redei_matrix(spec))
+    return _four_rank(redei_matrix(spec))
 
 
 def two_ranks(spec: QuadFieldSpec) -> tuple[int, int]:
@@ -172,45 +175,74 @@ def _slot_ok(code: str, d: PrimeDiscriminant) -> bool:
     raise ValueError(f"bad sign code {code}")
 
 
-def classify_open_case(spec: QuadFieldSpec) -> CaseId:
-    """Match a five-disc imaginary field against the open-matrix catalog.
+def _agrees(fixed, a, perm: list[int], k: int) -> bool:
+    """Whether the disc in slot k fits the fixed entries against slots 0..k."""
+    i = perm[k]
+    for j in range(k + 1):
+        want, back = fixed[k][j], fixed[j][k]
+        if want is not None and a[i][perm[j]] != want:
+            return False
+        if back is not None and a[perm[j]][i] != back:
+            return False
+    return True
 
-    Searches all sign-admissible permutations of the discs; the matched
-    permutation maps catalog slot k to spec disc permutation[k].  Fields
-    matching no block (including everything already settled in the
-    literature) come back as NotOpen.
+
+def _fill(fixed, slots, a, perm: list[int]) -> bool:
+    """Extend perm slot by slot to a full fit, trying indices ascending."""
+    k = len(perm)
+    if k == len(slots):
+        return True
+    for i in slots[k]:
+        if i in perm:
+            continue
+        perm.append(i)
+        if _agrees(fixed, a, perm, k) and _fill(fixed, slots, a, perm):
+            return True
+        perm.pop()
+    return False
+
+
+def _match(case: CatalogCase, discs, a) -> tuple[int, ...] | None:
+    """Least permutation (lexicographically) that fits the case, or None.
+
+    perm[k] is the disc index placed in catalog slot k.  Slots are filled in
+    order, each trying the unused sign-admissible indices ascending, and the
+    fixed entries between the new slot and every filled one are checked at
+    once; so the first full assignment is the first match a scan of all
+    permutations in lexicographic order would find.  The helpers are
+    module-level functions rather than closures: a closure that calls itself
+    is a reference cycle, and one per catalog block per field kept the
+    cyclic garbage collector running several times per classification.
     """
-    if spec.t != 5 or spec.discriminant > 0:
-        raise ValueError("classification is defined for imaginary fields with t = 5")
-    discs = spec.discs
-    # Permutations just reindex the Redei matrix; every catalog diagonal is a
-    # wildcard, so only the off-diagonal symbols are ever compared.
-    m = redei_matrix(spec)
-    a = m.entries
+    slots = [[i for i in range(len(discs)) if _slot_ok(code, discs[i])] for code in case.signs]
+    perm: list[int] = []
+    return tuple(perm) if _fill(case.fixed, slots, a, perm) else None
+
+
+def _classify(spec: QuadFieldSpec, m: RedeiMatrix) -> CaseId:
+    """classify_open_case on a field whose Redei matrix m is already built."""
     for case in catalog_cases():
-        slots: list[list[int]] = [
-            [i for i in range(5) if _slot_ok(code, discs[i])] for code in case.signs
-        ]
-        for perm in itertools.permutations(range(5)):
-            if any(perm[k] not in slots[k] for k in range(5)):
-                continue
-            ok = True
-            for r in range(5):
-                for c in range(5):
-                    want = case.fixed[r][c]
-                    if want is not None and a[perm[r]][perm[c]] != want:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                if case.status == "resolved":
-                    return CaseId(
-                        "NotOpen", perm, f"resolved elsewhere: {case.tag} ({case.note})"
-                    )
-                return CaseId(case.tag, perm)
-    if spec.t - 1 - f2_rank(m) >= 3:
+        perm = _match(case, spec.discs, m.entries)
+        if perm is None:
+            continue
+        if case.status == "resolved":
+            return CaseId("NotOpen", perm, f"resolved elsewhere: {case.tag} ({case.note})")
+        return CaseId(case.tag, perm)
+    if _four_rank(m) >= 3:
         reason = "4-rank >= 3: infinite 2-tower already known (Hajir), not an open case"
     else:
         reason = "no open-case match: settled in the literature or outside the catalog"
     return CaseId("NotOpen", (), reason)
+
+
+def classify_open_case(spec: QuadFieldSpec) -> CaseId:
+    """Match a five-disc imaginary field against the open-matrix catalog.
+
+    Catalog blocks are tried in file order; the matched permutation maps
+    catalog slot k to spec disc permutation[k] and is the lexicographically
+    least one that fits the block.  Fields matching no block (including
+    everything already settled in the literature) come back as NotOpen.
+    """
+    if spec.t != 5 or spec.discriminant > 0:
+        raise ValueError("classification is defined for imaginary fields with t = 5")
+    return _classify(spec, redei_matrix(spec))

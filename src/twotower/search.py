@@ -25,6 +25,7 @@ from .arith import (
 from .errors import Exhausted, TemplateMismatch
 from .quadforms import wide_class_group
 from .redei import CatalogCase, _slot_ok, catalog_cases, classify_open_case, f2_rank, redei_matrix
+from .tower import cl2_order
 
 
 def _case_by_tag(tag) -> CatalogCase:
@@ -171,7 +172,7 @@ def find_base_fields(
             continue
         if f2_rank(redei_matrix(spec)) > redei_rank_max:
             continue
-        if wide_class_group(d).two_part_order < min_cl2:
+        if cl2_order(spec) < min_cl2:
             continue
         out.append(spec)
     return out

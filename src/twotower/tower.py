@@ -23,8 +23,8 @@ from math import isqrt
 
 from .arith import QuadFieldSpec
 from .errors import DivisibilityViolation, PreconditionUnmet
-from .quadforms import narrow_class_group, prime_class_info, wide_class_group
-from .redei import CaseId, classify_open_case, four_rank_narrow, two_ranks
+from .quadforms import class_number, prime_class_info
+from .redei import CaseId, _classify, _four_rank, redei_matrix, two_ranks
 
 
 def gs_infinite(d2: int, unit_2rank: int) -> bool:
@@ -44,8 +44,8 @@ def gs_required(unit_2rank: int) -> int:
 
 def cl2_order(f: QuadFieldSpec, wide: bool = True) -> int:
     """|Cl_2(F)| (wide by default), the 2-part of the class number."""
-    group = (wide_class_group if wide else narrow_class_group)(f.discriminant)
-    return group.two_part_order
+    h = class_number(f.discriminant, wide)
+    return h & -h
 
 
 def splitting_count(f: QuadFieldSpec, p: int, wide: bool = True) -> int:
@@ -341,9 +341,10 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
     """
     _require(k.is_imaginary, "K must be imaginary")
     d2, _ = two_ranks(k)
-    d4 = four_rank_narrow(k)
+    m = redei_matrix(k)
+    d4 = _four_rank(m)
     if k.t == 5:
-        case = classify_open_case(k)
+        case = _classify(k, m)
     else:
         case = CaseId("NotOpen", (), "open-case catalog covers t = 5 only")
     diagnostics: list[Diagnostic] = []

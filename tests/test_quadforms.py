@@ -19,6 +19,7 @@ from twotower.quadforms import (
     _reduced_forms_neg,
     _reduced_forms_pos,
     _table,
+    class_number,
     compose,
     inverse,
     narrow_class_group,
@@ -289,6 +290,18 @@ def test_bound_and_fundamentality_checks():
         narrow_class_group(-9)
     with pytest.raises(BoundExceeded):
         narrow_class_group(-11, bound=10)
+    # the bound is rechecked on a cache hit, and class_number raises alike
+    assert _table(-2379).d == -2379
+    with pytest.raises(BoundExceeded):
+        _table(-2379, bound=2000)
+    with pytest.raises(BoundExceeded):
+        class_number(-2379, bound=2000)
+    with pytest.raises(BoundExceeded):
+        class_number(-(10**9))
+    with pytest.raises(NotFundamental):
+        class_number(-9)
+    with pytest.raises(NotFundamental):
+        class_number(45)
 
 
 def test_inverse_and_rank_helpers():

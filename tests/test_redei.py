@@ -1,3 +1,5 @@
+import gc
+import itertools
 import os
 import random
 
@@ -12,6 +14,8 @@ from twotower.arith import (
 )
 from twotower.quadforms import narrow_class_group, wide_class_group
 from twotower.redei import (
+    CaseId,
+    _slot_ok,
     catalog_cases,
     catalog_text,
     classify_open_case,
@@ -152,6 +156,92 @@ def test_classify_matched_permutation_is_faithful():
         for j in range(5):
             if cat.fixed[i][j] is not None:
                 assert m.entries[i][j] == cat.fixed[i][j]
+
+
+def classify_by_permutation_scan(spec):
+    """Reference classifier: scan every permutation in lexicographic order."""
+    a = redei_matrix(spec).entries
+    for case in catalog_cases():
+        for perm in itertools.permutations(range(5)):
+            if not all(_slot_ok(code, spec.discs[i]) for code, i in zip(case.signs, perm)):
+                continue
+            if all(
+                want is None or a[perm[r]][perm[c]] == want
+                for r, row in enumerate(case.fixed)
+                for c, want in enumerate(row)
+            ):
+                if case.status == "resolved":
+                    return CaseId("NotOpen", perm, f"resolved elsewhere: {case.tag} ({case.note})")
+                return CaseId(case.tag, perm)
+    if four_rank_narrow(spec) >= 3:
+        reason = "4-rank >= 3: infinite 2-tower already known (Hajir), not an open case"
+    else:
+        reason = "no open-case match: settled in the literature or outside the catalog"
+    return CaseId("NotOpen", (), reason)
+
+
+# One member of every catalog block, in catalog slot order.
+CATALOG_MEMBERS = {
+    "A": (-31, -11, -43, -7, -3),
+    "B": (-3, -47, -11, -43, -7),
+    "C": (-4, -7, -31, -43, -3),
+    "D1": (-4, -11, -43, -7, -3),
+    "D1-sueyoshi": (-4, -59, -31, -23, -7),
+    "D2": (-4, -11, -7, -19, -3),
+    "FamD2a": (-4, -19, -31, 13, 29),
+    "FamD2b": (-4, -31, -11, 13, 29),
+    "FamD2c": (-4, -19, -31, 13, 37),
+    "FamD2d": (-4, -43, -19, 29, 37),
+    "M16": (-31, -3, -11, 13, 5),
+    "M28": (-11, -7, -19, 5, 13),
+    "M30": (-23, -11, -7, 13, 5),
+    "M32": (-7, -19, -3, 5, 13),
+    "M34a": (-11, -7, -19, 29, 13),
+    "M34b": (-23, -11, -7, 5, 17),
+    "M49": (-3, -11, -7, 13, 17),
+}
+
+
+def test_classify_matches_permutation_scan():
+    assert set(CATALOG_MEMBERS) == {c.tag for c in catalog_cases()}
+    rng = random.Random(29)
+    fields = [spec_of(-7, 17, 41, 97, 8)]  # 4-rank 3
+    for values in CATALOG_MEMBERS.values():
+        fields.append(spec_of(*values))
+        for _ in range(4):
+            fields.append(spec_of(*rng.sample(values, 5)))
+    primes = primes_up_to(60)
+    while len(fields) < 400:
+        values = [
+            rng.choice((-4, 8, -8)) if p == 2 else (p if p % 4 == 1 else -p)
+            for p in rng.sample(primes, 5)
+        ]
+        spec = spec_of(*values)
+        if spec.discriminant < 0:
+            fields.append(spec)
+    tags = set()
+    for spec in fields:
+        got = classify_open_case(spec)
+        assert got == classify_by_permutation_scan(spec), spec.values()
+        tags.add(got.reason.split(":")[0] if got.tag == "NotOpen" else got.tag)
+    # every block matched (the resolved one as NotOpen), and both no-match reasons
+    assert len(tags) == len(CATALOG_MEMBERS) - 1 + 3
+
+
+def test_classify_leaves_no_reference_cycles():
+    # Cyclic garbage per call would keep the collector busy on hot loops
+    # such as search.complete_tuple, which classifies every candidate.
+    fields = [spec_of(*values) for values in CATALOG_MEMBERS.values()]
+    fields.append(spec_of(-7, 17, 41, 97, 8))
+    catalog_cases()
+    gc.collect()
+    gc.disable()
+    try:
+        for spec in fields:
+            classify_open_case(spec)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_classify_rejects_bad_input():

@@ -3,8 +3,15 @@ import random
 
 import pytest
 
-from twotower.arith import QuadFieldSpec, kronecker, is_fundamental, primes_up_to
+from twotower.arith import (
+    QuadFieldSpec,
+    is_fundamental,
+    kronecker,
+    prime_disc_factorization,
+    primes_up_to,
+)
 from twotower.errors import DivisibilityViolation, PreconditionUnmet
+from twotower.quadforms import narrow_class_group, wide_class_group
 from twotower.search import complete_tuple, dmw_family
 from twotower.tower import (
     analyze,
@@ -60,6 +67,21 @@ def test_splitting_count_examples():
     # doubly-negative symbol vectors are pinned to 2 by the genus theorem
     assert kronecker(5, 17) == kronecker(29, 17) == -1
     assert splitting_count(F45, 17) == 2
+
+
+def test_cl2_order_matches_group_structure():
+    # real fields with a nontrivial wide quotient (no unit of norm -1) are
+    # where the wide and narrow 2-parts differ
+    differ = 0
+    for absd in range(3, 3001):
+        for d in (-absd, absd):
+            if not is_fundamental(d):
+                continue
+            f = prime_disc_factorization(d)
+            for wide, group in ((True, wide_class_group), (False, narrow_class_group)):
+                assert cl2_order(f, wide) == group(d).two_part_order, (d, wide)
+            differ += cl2_order(f, True) != cl2_order(f, False)
+    assert differ > 0
 
 
 def test_splitting_count_divides_degree():
