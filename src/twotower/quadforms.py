@@ -11,15 +11,16 @@ by torsion counting plus a maximal-order peel for generators.
 
 class_number is the cheap path: it reads h off the reduced-form table
 and skips the structure computation, so callers that need only |Cl_2|
-(the 2-part of h) never pay for it.  Tables and structures are kept in
-LRU caches of _TABLE_CACHE_SIZE entries each.
+(the 2-part of h) never pay for it.  There is one cache, an LRU cache of
+_TABLE_CACHE_SIZE tables; each table computes its narrow and wide
+structures on first request and keeps them.
 """
 
 from __future__ import annotations
 
 import os
-from collections import OrderedDict
 from dataclasses import dataclass
+from functools import lru_cache
 from math import isqrt
 from typing import NamedTuple
 
@@ -247,6 +248,7 @@ class _ClassTable:
         self.wide_kernel = frozenset({self.principal, self.neg_principal})
         self.h_wide = self.h_plus // len(self.wide_kernel)
         self._mul: dict[tuple[int, int], int] = {}
+        self._groups: dict[bool, AbelianGroupStructure] = {}
 
     def class_index(self, f) -> int:
         a, b, c = f
@@ -292,38 +294,43 @@ class _ClassTable:
             part *= 2
         return part
 
+    def group(self, wide: bool) -> AbelianGroupStructure:
+        """Narrow or wide class group structure, computed once per table.
+
+        The wide group is the quotient by {principal, neg_principal}; when
+        that kernel is trivial it is the narrow group, the same object.
+        """
+        wide = wide and self.neg_principal != self.principal
+        got = self._groups.get(wide)
+        if got is None:
+            if wide:
+                rep = [min(i, self.mul(i, self.neg_principal)) for i in range(self.h_plus)]
+            else:
+                rep = list(range(self.h_plus))
+            divisors_desc, gens = _structure(self, rep)
+            got = self._groups[wide] = AbelianGroupStructure(
+                tuple(reversed(divisors_desc)),
+                self.h_wide if wide else self.h_plus,
+                tuple(QuadForm(*self.reps[g]) for g in reversed(gens)),
+            )
+        return got
+
 
 _TABLE_CACHE_SIZE = 48
 
 
-class _LRUCache(OrderedDict):
-    """Per-discriminant cache that keeps the _TABLE_CACHE_SIZE most recently used entries."""
-
-    def lookup(self, d: int):
-        got = self.get(d)
-        if got is not None:
-            self.move_to_end(d)
-        return got
-
-    def store(self, d: int, value):
-        self[d] = value
-        while len(self) > _TABLE_CACHE_SIZE:
-            self.popitem(last=False)
-        return value
-
-
-_tables = _LRUCache()
+@lru_cache(maxsize=_TABLE_CACHE_SIZE)
+def _fundamental_table(d: int) -> _ClassTable:
+    # A NotFundamental d raises here, so it is never cached.
+    _check_fundamental(d)
+    return _ClassTable(d)
 
 
 def _table(d: int, bound: int | None = None) -> _ClassTable:
     # The bound is checked on every call; fundamentality (which factors |d|)
-    # only on a miss, since only fundamental d are ever cached.
+    # only on a miss.
     _check_bound(d, bound)
-    t = _tables.lookup(d)
-    if t is None:
-        _check_fundamental(d)
-        t = _tables.store(d, _ClassTable(d))
-    return t
+    return _fundamental_table(d)
 
 
 def class_number(d: int, wide: bool = True, bound: int | None = None) -> int:
@@ -392,13 +399,17 @@ def _plog(n: int, p: int) -> int:
     return e
 
 
-def _structure(elements, mul, powf, inv, identity):
+def _structure(t: _ClassTable, rep: list[int]):
     """Invariant factors (descending) and matching generators.
 
-    Divisor multiset by torsion counting; generators by peeling a
-    maximal-order coset per factor, adjusted inside the running subgroup
-    so each generator's order equals its factor exactly.
+    The group is t's classes modulo a subgroup: rep[i] is the least class
+    index in i's coset, and the cosets' reps are the elements.  Divisor
+    multiset by torsion counting; generators by peeling a maximal-order
+    coset per factor, adjusted inside the running subgroup so each
+    generator's order equals its factor exactly.
     """
+    elements = sorted(set(rep))
+    identity = rep[t.principal]
     h = len(elements)
     if h == 1:
         return (), []
@@ -407,7 +418,7 @@ def _structure(elements, mul, powf, inv, identity):
     for x in elements:
         o = h
         for p in h_fac:
-            while o % p == 0 and powf(x, o // p) == identity:
+            while o % p == 0 and rep[t.pow(x, o // p)] == identity:
                 o //= p
         orders[x] = o
     layer_ranks: dict[int, list[int]] = {}
@@ -440,88 +451,37 @@ def _structure(elements, mul, powf, inv, identity):
                 continue
             co = orders[x]
             for k in _divisors(orders[x]):
-                if powf(x, k) in subgroup:
+                if rep[t.pow(x, k)] in subgroup:
                     co = k
                     break
             if co == dk:
                 pick = x
                 break
         assert pick is not None, "no element matches the invariant factor"
-        tgt = powf(pick, dk)
+        tgt = rep[t.pow(pick, dk)]
         if tgt != identity:
-            adj = next(y for y in subgroup if powf(y, dk) == tgt)
-            pick = mul(pick, inv(adj))
+            adj = next(y for y in subgroup if rep[t.pow(y, dk)] == tgt)
+            pick = rep[t.mul(pick, t.inv(adj))]
         gens.append(pick)
         new = set()
         g = identity
         for _ in range(dk):
             for z in subgroup:
-                new.add(mul(z, g))
-            g = mul(g, pick)
+                new.add(rep[t.mul(z, g)])
+            g = rep[t.mul(g, pick)]
         subgroup = new
     assert len(subgroup) == h, "generators do not span the group"
     return tuple(divisors_desc), gens
 
 
-_narrow_cache = _LRUCache()
-_wide_cache = _LRUCache()
-
-
 def narrow_class_group(d: int, bound: int | None = None) -> AbelianGroupStructure:
     """Structure of the narrow class group Cl+(Q(sqrt(d)))."""
-    _check_bound(d, bound)
-    got = _narrow_cache.lookup(d)
-    if got is not None:
-        return got
-    t = _table(d, bound)
-    divisors_desc, gens = _structure(
-        list(range(t.h_plus)), t.mul, t.pow, t.inv, t.principal
-    )
-    out = AbelianGroupStructure(
-        tuple(reversed(divisors_desc)),
-        t.h_plus,
-        tuple(QuadForm(*t.reps[g]) for g in reversed(gens)),
-    )
-    return _narrow_cache.store(d, out)
+    return _table(d, bound).group(wide=False)
 
 
 def wide_class_group(d: int, bound: int | None = None) -> AbelianGroupStructure:
     """Structure of the wide class group Cl(Q(sqrt(d)))."""
-    _check_bound(d, bound)
-    got = _wide_cache.lookup(d)
-    if got is not None:
-        return got
-    if d < 0:
-        out = narrow_class_group(d, bound)
-    else:
-        t = _table(d, bound)
-        if t.neg_principal == t.principal:
-            out = narrow_class_group(d, bound)
-        else:
-            npi = t.neg_principal
-
-            def canon(i: int) -> int:
-                return min(i, t.mul(i, npi))
-
-            elements = sorted({canon(i) for i in range(t.h_plus)})
-
-            def mul(i: int, j: int) -> int:
-                return canon(t.mul(i, j))
-
-            def powf(i: int, n: int) -> int:
-                return canon(t.pow(i, n))
-
-            def inv(i: int) -> int:
-                return canon(t.inv(i))
-
-            identity = canon(t.principal)
-            divisors_desc, gens = _structure(elements, mul, powf, inv, identity)
-            out = AbelianGroupStructure(
-                tuple(reversed(divisors_desc)),
-                t.h_wide,
-                tuple(QuadForm(*t.reps[g]) for g in reversed(gens)),
-            )
-    return _wide_cache.store(d, out)
+    return _table(d, bound).group(wide=True)
 
 
 def negative_pell_solvable(d: int) -> bool:

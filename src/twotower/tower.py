@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from math import isqrt
 
 from .arith import QuadFieldSpec
-from .errors import DivisibilityViolation, PreconditionUnmet
-from .quadforms import class_number, prime_class_info
+from .errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet
+from .quadforms import PrimeClassInfo, class_number, max_disc_bound, prime_class_info
 from .redei import CaseId, _classify, _four_rank, redei_matrix, two_ranks
 
 
@@ -55,8 +55,11 @@ def splitting_count(f: QuadFieldSpec, p: int, wide: bool = True) -> int:
     |Cl_2(F)| / (2-part of its class order) primes of L; an inert p is
     principal in F and therefore totally split in L/F.
     """
-    c = cl2_order(f, wide)
-    info = prime_class_info(f.discriminant, p, wide=wide)
+    return _count_in_l(cl2_order(f, wide), prime_class_info(f.discriminant, p, wide=wide))
+
+
+def _count_in_l(c: int, info: PrimeClassInfo) -> int:
+    """Primes of L above p, from c = |Cl_2(F)| and p's decomposition in F."""
     if info.split_type == "inert":
         return c
     if info.split_type == "split":
@@ -173,11 +176,11 @@ def _sub_spec(k: QuadFieldSpec, indices) -> QuadFieldSpec:
     return QuadFieldSpec(tuple(k.discs[i] for i in indices))
 
 
-def _witnesses(f: QuadFieldSpec, primes, wide: bool = True) -> tuple[Witness, ...]:
+def _witnesses(f: QuadFieldSpec, c: int, primes) -> tuple[Witness, ...]:
     out = []
     for p in primes:
-        info = prime_class_info(f.discriminant, p, wide=wide)
-        out.append(Witness(p, info.split_type, info.order_2part, splitting_count(f, p, wide)))
+        info = prime_class_info(f.discriminant, p)
+        out.append(Witness(p, info.split_type, info.order_2part, _count_in_l(c, info)))
     return tuple(out)
 
 
@@ -259,7 +262,7 @@ def _attempt(k: QuadFieldSpec, kind: str, idx) -> tuple[Certificate | None, list
     f = _sub_spec(k, idx)
     rest = [k.discs[i].prime for i in range(k.t) if i not in idx]
     c = cl2_order(f)  # wide: L = F^1_(2) is unramified at infinity too
-    wit = _witnesses(f, rest)
+    wit = _witnesses(f, c, rest)
     check = _bound_check(f, c, wit)
     criteria = [cr for cr in CRITERIA if cr.base_kind == kind]
     where = f"F={list(f.values())}"
@@ -315,8 +318,7 @@ def kl_rank_lower_bound(k: QuadFieldSpec, f: QuadFieldSpec) -> int:
     if not rest:
         raise DivisibilityViolation("at least one prime of K must be unramified in F")
     c = cl2_order(f)
-    total = sum(splitting_count(f, p) for p in rest)
-    return total - 1 - (c if f.discriminant < 0 else 0)
+    return _bound_check(f, c, _witnesses(f, c, rest)).lhs
 
 
 def _base_fields(k: QuadFieldSpec):
@@ -337,7 +339,8 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
     Applies Golod-Shafarevich on the 2-rank, then every sign-admissible
     triple and pair through the criteria of CRITERIA in a fixed order; the
     first certificate wins and any further passes are listed in the
-    diagnostics.
+    diagnostics.  A base field above the discriminant bound is skipped with
+    a skipped:bound diagnostic.
     """
     _require(k.is_imaginary, "K must be imaginary")
     d2, _ = two_ranks(k)
@@ -362,7 +365,20 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
             Diagnostic("gs-two-rank", d2, gs_required(1), "direct Golod-Shafarevich on K")
         )
         for kind, idx in _base_fields(k):
-            cert, diags = _attempt(k, kind, idx)
+            try:
+                cert, diags = _attempt(k, kind, idx)
+            except BoundExceeded:
+                # Any other base field's certificate is valid on its own.
+                f = _sub_spec(k, idx)
+                diagnostics.append(
+                    Diagnostic(
+                        "skipped:bound",
+                        abs(f.discriminant),
+                        max_disc_bound(),
+                        f"F={list(f.values())}",
+                    )
+                )
+                continue
             if cert is not None and certificate is None:
                 certificate = cert
             elif cert is not None:
@@ -401,7 +417,7 @@ def replay_certificate(cert: Certificate, k: QuadFieldSpec) -> bool:
     rest = [d.prime for d in k.discs if d.value not in set(f.values())]
     if sorted(rest) != sorted(w.prime for w in cert.witnesses):
         return False
-    fresh = {w.prime: w for w in _witnesses(f, rest)}
+    fresh = {w.prime: w for w in _witnesses(f, c, rest)}
     for w in cert.witnesses:
         if fresh[w.prime] != w:
             return False

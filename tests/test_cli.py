@@ -65,6 +65,18 @@ def test_analyze_exit_codes(capsys):
     assert code == 2 and "error" in err
 
 
+def test_analyze_skips_out_of_bound_base_fields(capsys):
+    # five base fields contain 100000037, so |D_F| > 1e8; the rest are tried
+    code, out, _ = run(capsys, "analyze", "--discs=-3,+5,+13,+100000037")
+    assert code == 10
+    report = json.loads(out)
+    make_validator("tower_report.schema.json").validate(report)
+    skipped = [d for d in report["diagnostics"] if d["criterion"] == "skipped:bound"]
+    assert len(skipped) == 5
+    assert all(d["achieved"] > d["required"] == 10**8 for d in skipped)
+    assert all("100000037" in d["detail"] for d in skipped)
+
+
 def test_analyze_human(capsys):
     code, out, _ = run(capsys, "analyze", "--format", "human", "--", "-25355")
     assert code == 0

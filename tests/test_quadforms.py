@@ -4,7 +4,13 @@ from math import isqrt
 
 import pytest
 
-from twotower.arith import is_fundamental, kronecker, prime_disc_factorization, primes_up_to
+from twotower.arith import (
+    factorization,
+    is_fundamental,
+    kronecker,
+    prime_disc_factorization,
+    primes_up_to,
+)
 from twotower.errors import (
     BoundExceeded,
     DiscriminantMismatch,
@@ -12,8 +18,10 @@ from twotower.errors import (
     SquareDiscriminant,
 )
 from twotower.quadforms import (
+    _TABLE_CACHE_SIZE,
     QuadForm,
     _cycle,
+    _fundamental_table,
     _is_reduced_indef,
     _reduce_indef,
     _reduced_forms_neg,
@@ -162,15 +170,29 @@ def test_structure_examples():
 
 
 def test_generators_match_divisors():
-    for d in (-399, -1023, -2211, -740, 145, 904, 2305, -95, -420, 229):
-        for group in (narrow_class_group(d), wide_class_group(d)):
-            assert len(group.generators) == len(group.elementary_divisors)
-            prod = 1
-            for div in group.elementary_divisors:
-                prod *= div
-            assert prod == group.order
-            for gen in group.generators:
-                assert gen.discriminant == d
+    for absd in range(3, 3001):
+        for d in (-absd, absd):
+            if not is_fundamental(d):
+                continue
+            table = _table(d)
+            if table.neg_principal == table.principal:
+                assert wide_class_group(d) is narrow_class_group(d), d
+            for group, kernel in (
+                (narrow_class_group(d), {table.principal}),
+                (wide_class_group(d), table.wide_kernel),
+            ):
+                assert len(group.generators) == len(group.elementary_divisors)
+                prod = 1
+                for div in group.elementary_divisors:
+                    prod *= div
+                assert prod == group.order
+                for gen, div in zip(group.generators, group.elementary_divisors):
+                    assert gen.discriminant == d
+                    # generator order in the quotient is exactly its divisor
+                    i = table.class_index(gen)
+                    assert table.pow(i, div) in kernel, (d, gen, div)
+                    for p in factorization(div):
+                        assert table.pow(i, div // p) not in kernel, (d, gen, div, p)
 
 
 def test_enumeration_consistency_sweep():
@@ -302,6 +324,12 @@ def test_bound_and_fundamentality_checks():
         class_number(-9)
     with pytest.raises(NotFundamental):
         class_number(45)
+    # the one table cache stays bounded
+    fundamental = [d for d in range(-3, -1000, -1) if is_fundamental(d)]
+    assert len(fundamental) > _TABLE_CACHE_SIZE
+    for d in fundamental:
+        class_number(d)
+    assert _fundamental_table.cache_info().currsize <= _TABLE_CACHE_SIZE
 
 
 def test_inverse_and_rank_helpers():

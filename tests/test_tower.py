@@ -10,7 +10,7 @@ from twotower.arith import (
     prime_disc_factorization,
     primes_up_to,
 )
-from twotower.errors import DivisibilityViolation, PreconditionUnmet
+from twotower.errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet
 from twotower.quadforms import narrow_class_group, wide_class_group
 from twotower.search import complete_tuple, dmw_family
 from twotower.tower import (
@@ -124,6 +124,16 @@ def test_kl_rank_lower_bound_example():
         kl_rank_lower_bound(EX36, EX36)  # m = 0
     with pytest.raises(DivisibilityViolation):
         kl_rank_lower_bound(EX36, QuadFieldSpec.from_disc_values([13, 17]))
+
+
+def test_out_of_bound_base_field_raises_when_given():
+    # analyze skips such a base field (tests/test_cli.py); the functions
+    # that are handed one F still raise
+    k = QuadFieldSpec.from_disc_values([-3, 5, 13, 100000037])
+    with pytest.raises(BoundExceeded):
+        lemma_triple(k, (0, 1, 3))
+    with pytest.raises(BoundExceeded):
+        kl_rank_lower_bound(k, QuadFieldSpec.from_disc_values([5, 100000037]))
 
 
 def test_lemma_preconditions():
