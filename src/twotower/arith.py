@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd, isqrt
 
 from .errors import FactorizationFailed, NoSolution, NoSquareRoot, NotFundamental
@@ -25,6 +25,8 @@ _RHO_ITERS = 1 << 20
 # Deterministic for n < 3_317_044_064_679_887_385_961_981 (Sorenson-Webster).
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
+# Distinct values PrimeDiscriminant.from_value keeps interned.
+_INTERNED_PRIME_DISCS = 4096
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -233,7 +235,11 @@ class PrimeDiscriminant:
     prime: int
 
     @classmethod
+    @lru_cache(maxsize=_INTERNED_PRIME_DISCS, typed=True)
     def from_value(cls, v: int) -> "PrimeDiscriminant":
+        """The prime discriminant v; valid values are interned, so repeated
+        calls share one object and one primality test.  An invalid v raises
+        NotFundamental on every call (exceptions are never cached)."""
         if v in (-4, 8, -8):
             return cls(v, 2)
         p = abs(v)

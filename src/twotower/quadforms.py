@@ -5,9 +5,16 @@ equivalence realize the narrow class group; the wide group is the
 quotient by the class of a form representing -1 (a trivial quotient for
 D < 0, and for D > 0 exactly when x^2 - D y^2 = -4 is solvable).
 
-Everything works at desk scale: enumerate every reduced form, partition
-indefinite forms into reduction cycles, and extract elementary divisors
-by torsion counting plus a maximal-order peel for generators.
+Reduced forms are enumerated by leading coefficient: for each a up to
+sqrt(|D|/3) (D < 0) or sqrt(D) (D > 0), the b with b^2 = D (mod 4a) come
+from the square roots of D modulo 4a, built multiplicatively from roots
+modulo prime powers (Hensel lifting, CRT, a shared smallest-prime-factor
+table), and the reduction inequalities keep at most one b per root.  That
+costs O(sqrt|D| * 2^omega) steps, omega the number of prime factors of a,
+instead of the O(|D|) of looping over b and dividing (b^2 - D)/4.
+Indefinite forms are then partitioned into reduction cycles, and
+elementary divisors come from torsion counting plus a maximal-order peel
+for generators.
 
 class_number is the cheap path: it reads h off the reduced-form table
 and skips the structure computation, so callers that need only |Cl_2|
@@ -22,7 +29,7 @@ import os
 from dataclasses import dataclass
 from functools import lru_cache
 from math import isqrt
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .arith import factorization, is_fundamental, kronecker, sqrt_mod_prime, xgcd
 from .errors import (
@@ -170,21 +177,109 @@ def inverse(f: QuadForm) -> QuadForm:
     return reduce_form(QuadForm(f.a, -f.b, f.c))
 
 
+_spf: Sequence[int] = ()
+
+
+def _smallest_prime_factors(n: int) -> Sequence[int]:
+    """Smallest prime factor of every integer up to n (at least).
+
+    One table serves every enumeration.  It is built on first use, not at
+    import, and rebuilt at least twice as large when an n above it comes.
+    """
+    global _spf
+    if len(_spf) <= n:
+        # Imported here, not at the top: loading the extension module would
+        # add to the start-up time of every command, most of which build no
+        # table.
+        from array import array
+
+        size = max(n + 1, 2 * len(_spf), 1 << 14)
+        spf = array("I", range(size))
+        for p in reversed(range(2, isqrt(size - 1) + 1)):
+            # Smaller primes come later and overwrite, so each entry ends
+            # up holding its least prime factor (composite p are harmless).
+            spf[p * p :: p] = array("I", [p]) * len(range(p * p, size, p))
+        _spf = spf
+    return _spf
+
+
+def _crt(r1, m1: int, r2, m2: int) -> list[int]:
+    """Every x mod m1*m2 with x = r1 (mod m1) and x = r2 (mod m2), coprime moduli."""
+    u = pow(m1, -1, m2)
+    return [x + m1 * ((y - x) * u % m2) for x in r1 for y in r2]
+
+
+def _prime_power_roots(d: int, p: int, pe: int, lower: list[int]) -> list[int]:
+    """Square roots of d modulo pe = p^e for an odd prime p and fundamental d.
+
+    lower holds the roots modulo pe // p, used when e >= 2.
+    """
+    if d % p == 0:
+        return [0] if pe == p else []
+    if pe == p:
+        if kronecker(d, p) != 1:
+            return []
+        x = sqrt_mod_prime(d, p)
+    elif lower:
+        # One Newton (Hensel) step doubles the precision of a root.
+        y = lower[0]
+        x = (y - (y * y - d) * pow(2 * y, -1, pe)) % pe
+    else:
+        return []
+    return [x, pe - x]
+
+
+def _roots_by_leading_coefficient(d: int, top: int):
+    """Yield (a, roots) for 1 <= a <= top, skipping every a without a root;
+    roots lists each r mod 2a with r^2 = d (mod 4a).
+
+    For fundamental d.  The roots are built multiplicatively: with a = 2^k m
+    and m odd, r^2 = d (mod 2^(k+2)) depends only on r mod 2^(k+1), so those
+    residues are lifted once per k; the roots mod m join, by CRT, the roots
+    mod m's largest power of its least prime and the roots mod the rest,
+    both smaller odd numbers met before.
+    """
+    two = [[r for r in (0, 1) if (r * r - d) % 4 == 0]]
+    while 1 << len(two) <= top:
+        k = len(two)
+        lifted = [r for t in two[-1] for r in (t, t + (1 << k)) if (r * r - d) % (4 << k) == 0]
+        if not lifted:
+            break
+        two.append(lifted)
+    spf = _smallest_prime_factors(top)
+    odd: dict[int, list[int]] = {1: [0]}
+    for m in range(1, top + 1, 2):
+        if m > 1:
+            p = pe = spf[m]
+            while m % (pe * p) == 0:
+                pe *= p
+            if pe == m:
+                odd[m] = _prime_power_roots(d, p, pe, odd[pe // p])
+            elif odd[pe] and odd[m // pe]:
+                odd[m] = _crt(odd[pe], pe, odd[m // pe], m // pe)
+            else:
+                odd[m] = []
+        roots_m = odd[m]
+        if not roots_m:
+            continue
+        for k, roots_2k in enumerate(two):
+            a = m << k
+            if a > top:
+                break
+            yield a, _crt(roots_2k, 2 << k, roots_m, m)
+
+
 def _reduced_forms_neg(d: int) -> list[tuple[int, int, int]]:
     """All reduced forms of fundamental d < 0, ascending."""
     out = []
-    b = d & 1
-    while 3 * b * b <= -d:
-        m = (b * b - d) // 4
-        a = max(b, 1)
-        while a * a <= m:
-            if m % a == 0:
-                c = m // a
+    for a, roots in _roots_by_leading_coefficient(d, isqrt(-d // 3)):
+        for r in roots:
+            # The one b = r (mod 2a) with -a < b <= a; reduced needs a <= c,
+            # and b >= 0 when a == c.
+            b = r - 2 * a if r > a else r
+            c = (b * b - d) // (4 * a)
+            if c > a or (c == a and b >= 0):
                 out.append((a, b, c))
-                if 0 < b < a < c:
-                    out.append((a, -b, c))
-            a += 1
-        b += 2
     out.sort()
     return out
 
@@ -193,26 +288,16 @@ def _reduced_forms_pos(d: int) -> list[tuple[int, int, int]]:
     """All reduced forms of fundamental d > 0, both leading signs."""
     out = []
     s = isqrt(d)
-    b = 2 - (d & 1)
-    while b <= s:
-        m = (d - b * b) // 4
-        lo = max((s - b) // 2 + 1, 1)
-        hi = (s + b) // 2
-        if hi - lo <= isqrt(m):
-            for a in range(lo, hi + 1):
-                if m % a == 0:
-                    out.append((a, b, -(m // a)))
-                    out.append((-a, b, m // a))
-        else:
-            a = 1
-            while a * a <= m:
-                if m % a == 0:
-                    for w in {a, m // a}:
-                        if lo <= w <= hi:
-                            out.append((w, b, -(m // w)))
-                            out.append((-w, b, m // w))
-                a += 1
-        b += 2
+    for a, roots in _roots_by_leading_coefficient(d, s):
+        # Reduced: |sqrt(d) - 2a| < b < sqrt(d), so b runs over an interval
+        # of length at most 2a and each residue r gives at most one b.
+        lo = max(1, s - 2 * a + 1, 2 * a - s)
+        for r in roots:
+            b = lo + (r - lo) % (2 * a)
+            if b <= s:
+                c = (b * b - d) // (4 * a)
+                out.append((a, b, c))
+                out.append((-a, b, -c))
     out.sort()
     return out
 

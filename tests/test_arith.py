@@ -169,6 +169,21 @@ def test_not_fundamental_rejected():
         QuadFieldSpec.from_disc_values([-3, -3])  # shared prime
 
 
+def test_prime_discriminants_are_interned():
+    for v in (-4, 8, -8, -3, 5, -7, 13, -10007):
+        first = PrimeDiscriminant.from_value(v)
+        assert PrimeDiscriminant.from_value(v) is first
+        assert (first.value, first.prime) == (v, abs(v) if v % 2 else 2)
+    # Invalid values raise on every call and are never cached.
+    before = PrimeDiscriminant.from_value.cache_info().currsize
+    for v in (9, 7, -5, 4, 0, 1, -10007 * 3):
+        for _ in range(2):
+            with pytest.raises(NotFundamental):
+                PrimeDiscriminant.from_value(v)
+    assert PrimeDiscriminant.from_value.cache_info().currsize == before
+    assert PrimeDiscriminant.from_value.cache_info().maxsize is not None
+
+
 def test_crt_prime_search_examples():
     mod = 3 * 11 * 7 * 31 * 4
     hits = crt_prime_search([(mod, {107})], 10**6)

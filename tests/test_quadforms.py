@@ -26,6 +26,8 @@ from twotower.quadforms import (
     _reduce_indef,
     _reduced_forms_neg,
     _reduced_forms_pos,
+    _roots_by_leading_coefficient,
+    _smallest_prime_factors,
     _table,
     class_number,
     compose,
@@ -221,6 +223,123 @@ def test_enumeration_consistency_sweep():
                 continue
             assert narrow_class_group(d).order == len(_reduced_forms_neg(d))
             hits += 1
+
+
+def _reference_forms_neg(d):
+    """The b-first enumeration (loop over b, trial-divide (b^2 - d)/4 by a)."""
+    out = []
+    b = d & 1
+    while 3 * b * b <= -d:
+        m = (b * b - d) // 4
+        a = max(b, 1)
+        while a * a <= m:
+            if m % a == 0:
+                c = m // a
+                out.append((a, b, c))
+                if 0 < b < a < c:
+                    out.append((a, -b, c))
+            a += 1
+        b += 2
+    out.sort()
+    return out
+
+
+def _reference_forms_pos(d):
+    """The b-first enumeration of reduced indefinite forms, both leading signs."""
+    out = []
+    s = isqrt(d)
+    b = 2 - (d & 1)
+    while b <= s:
+        m = (d - b * b) // 4
+        lo = max((s - b) // 2 + 1, 1)
+        hi = (s + b) // 2
+        if hi - lo <= isqrt(m):
+            for a in range(lo, hi + 1):
+                if m % a == 0:
+                    out.append((a, b, -(m // a)))
+                    out.append((-a, b, m // a))
+        else:
+            a = 1
+            while a * a <= m:
+                if m % a == 0:
+                    for w in {a, m // a}:
+                        if lo <= w <= hi:
+                            out.append((w, b, -(m // w)))
+                            out.append((-w, b, m // w))
+                a += 1
+        b += 2
+    out.sort()
+    return out
+
+
+def _enumerate(d):
+    return _reduced_forms_neg(d) if d < 0 else _reduced_forms_pos(d)
+
+
+def _reference(d):
+    return _reference_forms_neg(d) if d < 0 else _reference_forms_pos(d)
+
+
+def _seeded_fundamentals(seed, lo, hi, count):
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = rng.choice((-1, 1)) * rng.randint(lo, hi)
+        if is_fundamental(d):
+            out.append(d)
+    return out
+
+
+def test_enumeration_matches_b_loop_reference():
+    count = 0
+    for absd in range(3, 20001):
+        for d in (-absd, absd):
+            if is_fundamental(d):
+                assert _enumerate(d) == _reference(d), d
+                count += 1
+    assert count == 12160
+    for d in _seeded_fundamentals(41, 10**7, 10**8, 6):
+        assert _enumerate(d) == _reference(d), d
+
+
+def test_leading_coefficient_roots_against_sympy():
+    sympy_ntheory = pytest.importorskip("sympy.ntheory")
+    ds = [-3, -4, -8, 5, 8, 12, -399, 904, -2379, 2305]
+    ds += _seeded_fundamentals(43, 10**3, 10**8, 24)
+    rng = random.Random(47)
+    for d in ds:
+        top = isqrt(abs(d))
+        got = dict(_roots_by_leading_coefficient(d, top))
+        assert all(1 <= a <= top and roots for a, roots in got.items()), d
+        sample = rng.sample(range(1, top + 1), min(top, 60))
+        for a in sorted({*range(1, min(top, 200) + 1), *sample}):
+            want = {r % (2 * a) for r in sympy_ntheory.sqrt_mod_iter(d % (4 * a), 4 * a)}
+            roots = got.get(a, [])
+            assert len(roots) == len(set(roots)), (d, a)
+            assert set(roots) == want, (d, a)
+
+
+def test_smallest_prime_factor_table_grows_on_demand():
+    import subprocess
+    import sys
+
+    import twotower
+
+    # Importing the package builds no table.
+    src = os.path.dirname(os.path.dirname(twotower.__file__))
+    code = "import twotower.quadforms as q; print(len(q._spf))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True
+    )
+    assert out.stdout.strip() == "0"
+    small = _smallest_prime_factors(10)
+    assert len(small) > 10
+    big = _smallest_prime_factors(len(small))
+    assert len(big) >= 2 * len(small)
+    assert _smallest_prime_factors(5) is big
+    for n in range(2, len(big), 7):
+        assert big[n] == min(factorization(n)), n
 
 
 def test_indefinite_enumeration_against_brute_force():
