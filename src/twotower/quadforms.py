@@ -12,9 +12,11 @@ modulo prime powers (Hensel lifting, CRT, a shared smallest-prime-factor
 table), and the reduction inequalities keep at most one b per root.  That
 costs O(sqrt|D| * 2^omega) steps, omega the number of prime factors of a,
 instead of the O(|D|) of looping over b and dividing (b^2 - D)/4.
-Indefinite forms are then partitioned into reduction cycles, and
-elementary divisors come from torsion counting plus a maximal-order peel
-for generators.
+Indefinite forms are then partitioned into reduction cycles.  The group
+structure is built one Sylow subgroup at a time: for p^e || h the p-Sylow
+subgroup is spanned by the classes x^(h/p^e), its cyclic factors are
+peeled largest first, and the invariant factors multiply the factors of
+equal rank across primes.
 
 class_number is the cheap path: it reads h off the reduced-form table
 and skips the structure computation, so callers that need only |Cl_2|
@@ -28,7 +30,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
-from math import isqrt
+from math import isqrt, prod
 from typing import NamedTuple, Sequence
 
 from .arith import factorization, is_fundamental, kronecker, sqrt_mod_prime, xgcd
@@ -469,93 +471,86 @@ class AbelianGroupStructure:
         return f"{parts} (order {self.order})"
 
 
-def _divisors(n: int) -> list[int]:
-    out = [1]
-    for p, e in factorization(n).items():
-        out = [d * p**i for d in out for i in range(e + 1)]
-    return sorted(out)
+def _span(t: _ClassTable, rep: list[int], subgroup: set[int], y: int) -> set[int]:
+    """The subgroup generated by subgroup and y, in the quotient given by rep."""
+    out = set(subgroup)
+    g = y
+    while g not in subgroup:
+        out.update(rep[t.mul(z, g)] for z in subgroup)
+        g = rep[t.mul(g, y)]
+    return out
 
 
-def _plog(n: int, p: int) -> int:
-    e = 0
-    while n > 1:
-        n //= p
-        e += 1
-    return e
+def _sylow_factors(t: _ClassTable, rep: list[int], elements: list[int], p: int, pe: int):
+    """Cyclic factors (order, generator) of the p-Sylow subgroup, largest first.
+
+    pe = p^e exactly divides h = len(elements).  The subgroup is spanned by
+    the images x^(h/pe), x ascending, until it has pe elements.  Each factor
+    comes from a least-index element of largest order modulo the factors
+    before it, that order found by repeated p-th powers; the pick is then
+    divided by a root inside the running subgroup so its order equals its
+    factor exactly.
+    """
+    identity = rep[t.principal]
+    m = len(elements) // pe
+    sylow = {identity}
+    for x in elements:
+        if len(sylow) == pe:
+            break
+        sylow = _span(t, rep, sylow, rep[t.pow(x, m)])
+    members = sorted(sylow)
+    factors: list[tuple[int, int]] = []
+    subgroup = {identity}
+    while len(subgroup) < len(sylow):
+        # No order modulo subgroup exceeds the previous factor or the index.
+        top = len(sylow) // len(subgroup)
+        if factors:
+            top = min(top, factors[-1][0])
+        best, pick = 1, identity
+        for x in members:
+            q, y = 1, x
+            while y not in subgroup:
+                y = rep[t.pow(y, p)]
+                q *= p
+            if q > best:
+                best, pick = q, x
+                if q == top:
+                    break
+        tgt = rep[t.pow(pick, best)]
+        if tgt != identity:
+            adj = min(z for z in subgroup if rep[t.pow(z, best)] == tgt)
+            pick = rep[t.mul(pick, t.inv(adj))]
+        factors.append((best, pick))
+        subgroup = _span(t, rep, subgroup, pick)
+    return factors
 
 
 def _structure(t: _ClassTable, rep: list[int]):
     """Invariant factors (descending) and matching generators.
 
     The group is t's classes modulo a subgroup: rep[i] is the least class
-    index in i's coset, and the cosets' reps are the elements.  Divisor
-    multiset by torsion counting; generators by peeling a maximal-order
-    coset per factor, adjusted inside the running subgroup so each
-    generator's order equals its factor exactly.
+    index in i's coset, and the cosets' reps are the elements.  It is built
+    one Sylow subgroup at a time (Teske, Math. Comp. 67, 1998; Cohen, GTM
+    138, section 5.4): invariant factor k is the product of the k-th cyclic
+    factor of every Sylow subgroup, and its generator the product of theirs.
     """
     elements = sorted(set(rep))
-    identity = rep[t.principal]
     h = len(elements)
     if h == 1:
         return (), []
-    h_fac = factorization(h)
-    orders: dict[int, int] = {}
-    for x in elements:
-        o = h
-        for p in h_fac:
-            while o % p == 0 and rep[t.pow(x, o // p)] == identity:
-                o //= p
-        orders[x] = o
-    layer_ranks: dict[int, list[int]] = {}
-    for p, e_max in h_fac.items():
-        prev = 0
-        ranks = []
-        for j in range(1, e_max + 1):
-            q = p**j
-            cnt = sum(1 for x in elements if q % orders[x] == 0)
-            lg = _plog(cnt, p)
-            ranks.append(lg - prev)
-            prev = lg
-            if ranks[-1] == 0:
-                break
-        layer_ranks[p] = [r for r in ranks if r > 0]
-    width = max(r[0] for r in layer_ranks.values())
+    sylows = [_sylow_factors(t, rep, elements, p, p**e) for p, e in factorization(h).items()]
     divisors_desc = []
-    for k in range(width):
-        dk = 1
-        for p, ranks in layer_ranks.items():
-            dk *= p ** sum(1 for r in ranks if r > k)
-        divisors_desc.append(dk)
-    by_order_desc = sorted(elements, key=lambda e: -orders[e])
-    subgroup = {identity}
     gens = []
-    for dk in divisors_desc:
-        pick = None
-        for x in by_order_desc:
-            if x in subgroup or orders[x] % dk:
-                continue
-            co = orders[x]
-            for k in _divisors(orders[x]):
-                if rep[t.pow(x, k)] in subgroup:
-                    co = k
-                    break
-            if co == dk:
-                pick = x
-                break
-        assert pick is not None, "no element matches the invariant factor"
-        tgt = rep[t.pow(pick, dk)]
-        if tgt != identity:
-            adj = next(y for y in subgroup if rep[t.pow(y, dk)] == tgt)
-            pick = rep[t.mul(pick, t.inv(adj))]
-        gens.append(pick)
-        new = set()
-        g = identity
-        for _ in range(dk):
-            for z in subgroup:
-                new.add(rep[t.mul(z, g)])
-            g = rep[t.mul(g, pick)]
-        subgroup = new
-    assert len(subgroup) == h, "generators do not span the group"
+    for k in range(max(len(f) for f in sylows)):
+        dk, g = 1, rep[t.principal]
+        for factors in sylows:
+            if k < len(factors):
+                q, x = factors[k]
+                dk *= q
+                g = rep[t.mul(g, x)]
+        divisors_desc.append(dk)
+        gens.append(g)
+    assert prod(divisors_desc) == h, "generators do not span the group"
     return tuple(divisors_desc), gens
 
 

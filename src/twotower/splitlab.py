@@ -17,7 +17,7 @@ from .arith import QuadFieldSpec, is_prime, kronecker, primes_up_to
 from .errors import PreconditionUnmet
 from .quadforms import narrow_class_group, prime_class_info, wide_class_group
 from .redei import redei_matrix
-from .tower import splitting_count
+from .tower import _count_in_l, cl2_order
 
 
 @dataclass(frozen=True)
@@ -78,6 +78,7 @@ def iter_rows(
     """Stream one row per prime <= bound coprime to the discriminant."""
     d = f.discriminant
     values = f.values()
+    c = cl2_order(f, wide)
     for p in primes_up_to(bound):
         if d % p == 0:
             continue
@@ -87,7 +88,7 @@ def iter_rows(
             tuple(kronecker(v, p) for v in values),
             info.split_type,
             info.order_2part,
-            splitting_count(f, p, wide=wide),
+            _count_in_l(c, info),
         )
 
 
@@ -119,13 +120,15 @@ def verify_real_pair(
     if l1 == l2 or l1 % 4 != 1 or l2 % 4 != 1 or not (is_prime(l1) and is_prime(l2)):
         raise PreconditionUnmet("need distinct primes l1, l2, both 1 mod 4")
     f = QuadFieldSpec.from_disc_values([l1, l2])
+    d = f.discriminant
+    c = cl2_order(f, wide)
     checked = 0
     violations = []
     for p in primes_up_to(bound):
         if kronecker(l1, p) != -1 or kronecker(l2, p) != -1:
             continue
         checked += 1
-        count = splitting_count(f, p, wide=wide)
+        count = _count_in_l(c, prime_class_info(d, p, wide=wide))
         if count != 2:
             violations.append((p, f"expected 2 primes in L, found {count}"))
     return VerifyReport(f, bound, "wide" if wide else "narrow", checked, tuple(violations))

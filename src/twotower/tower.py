@@ -295,22 +295,37 @@ def _lemma(k: QuadFieldSpec, kind: str, idx) -> Certificate | None:
 
 
 def lemma_triple(k: QuadFieldSpec, triple) -> Certificate | None:
-    """Certificate from an imaginary three-disc base field, if the criteria hold."""
+    """Certificate from an imaginary three-disc base field, if the criteria hold.
+
+    Like every lemma_* function this asks about one field, so a base field
+    above the discriminant bound raises BoundExceeded by design, where
+    analyze records a skipped:bound diagnostic and goes on.
+    """
     return _lemma(k, "triple", triple)
 
 
 def lemma_pos_pair(k: QuadFieldSpec, pair) -> Certificate | None:
-    """Certificate from a real base field on two positive discs, if the criteria hold."""
+    """Certificate from a real base field on two positive discs, if the criteria hold.
+
+    Raises BoundExceeded by design for a base field above the bound.
+    """
     return _lemma(k, "pos-pair", pair)
 
 
 def lemma_mixed_pair(k: QuadFieldSpec, pair) -> Certificate | None:
-    """Certificate from an imaginary base field on two opposite-sign discs."""
+    """Certificate from an imaginary base field on two opposite-sign discs.
+
+    Raises BoundExceeded by design for a base field above the bound.
+    """
     return _lemma(k, "mixed-pair", pair)
 
 
 def kl_rank_lower_bound(k: QuadFieldSpec, f: QuadFieldSpec) -> int:
-    """Relative-genus-theory lower bound on d2 Cl(KL), L the 2-class field of F."""
+    """Relative-genus-theory lower bound on d2 Cl(KL), L the 2-class field of F.
+
+    The call is about the one field F, so an F above the discriminant bound
+    raises BoundExceeded by design rather than degrading as analyze does.
+    """
     k_values = set(k.values())
     if not set(f.values()) <= k_values:
         raise DivisibilityViolation("F's prime discriminants must divide K's")

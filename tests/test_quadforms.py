@@ -50,6 +50,11 @@ KNOWN_H_NEG = {
     -403: 2, -420: 8, -427: 2,
 }
 
+ODD_RANK_TWO = {
+    -3299: (3, 9), -4027: (3, 3), -3896: (3, 12), -11199: (5, 20),
+    -12451: (5, 5), -15544: (6, 6), -63499: (7, 7),
+}
+
 
 def test_reduce_examples():
     assert reduce_form(QuadForm(2, 2, 3)) == (2, 2, 3)
@@ -169,6 +174,9 @@ def test_structure_examples():
     assert wide_class_group(12).order == 1
     assert narrow_class_group(12).elementary_divisors == (2,)
     assert wide_class_group(2305).order == 16
+    # Odd Sylow subgroups of rank 2; -3299 is the least |d| of 3-rank 2.
+    for d, divs in ODD_RANK_TWO.items():
+        assert narrow_class_group(d).elementary_divisors == divs, d
 
 
 def test_generators_match_divisors():
@@ -195,6 +203,123 @@ def test_generators_match_divisors():
                     assert table.pow(i, div) in kernel, (d, gen, div)
                     for p in factorization(div):
                         assert table.pow(i, div // p) not in kernel, (d, gen, div, p)
+
+
+def test_odd_sylow_generators_span():
+    for d in ODD_RANK_TWO:
+        table = _table(d)
+        group = narrow_class_group(d)
+        assert len(group.generators) == len(group.elementary_divisors) == 2
+        span = {table.principal}
+        for gen, div in zip(group.generators, group.elementary_divisors):
+            i = table.class_index(gen)
+            assert table.pow(i, div) == table.principal, (d, gen, div)
+            for p in factorization(div):
+                assert table.pow(i, div // p) != table.principal, (d, gen, div, p)
+            span = {table.mul(z, table.pow(i, k)) for z in span for k in range(div)}
+        assert len(span) == group.order == table.h_plus, d
+
+
+def _divisors(n):
+    out = [1]
+    for p, e in factorization(n).items():
+        out = [d * p**i for d in out for i in range(e + 1)]
+    return sorted(out)
+
+
+def _plog(n, p):
+    e = 0
+    while n > 1:
+        n //= p
+        e += 1
+    return e
+
+
+def _reference_structure(t, rep):
+    """The torsion-counting structure: the order of every element, the
+    divisor multiset from the counts of p^j-torsion, then a maximal-order
+    peel for generators."""
+    elements = sorted(set(rep))
+    identity = rep[t.principal]
+    h = len(elements)
+    if h == 1:
+        return (), []
+    h_fac = factorization(h)
+    orders = {}
+    for x in elements:
+        o = h
+        for p in h_fac:
+            while o % p == 0 and rep[t.pow(x, o // p)] == identity:
+                o //= p
+        orders[x] = o
+    layer_ranks = {}
+    for p, e_max in h_fac.items():
+        prev = 0
+        ranks = []
+        for j in range(1, e_max + 1):
+            q = p**j
+            cnt = sum(1 for x in elements if q % orders[x] == 0)
+            lg = _plog(cnt, p)
+            ranks.append(lg - prev)
+            prev = lg
+            if ranks[-1] == 0:
+                break
+        layer_ranks[p] = [r for r in ranks if r > 0]
+    width = max(r[0] for r in layer_ranks.values())
+    divisors_desc = []
+    for k in range(width):
+        dk = 1
+        for p, ranks in layer_ranks.items():
+            dk *= p ** sum(1 for r in ranks if r > k)
+        divisors_desc.append(dk)
+    by_order_desc = sorted(elements, key=lambda e: -orders[e])
+    subgroup = {identity}
+    gens = []
+    for dk in divisors_desc:
+        pick = None
+        for x in by_order_desc:
+            if x in subgroup or orders[x] % dk:
+                continue
+            co = orders[x]
+            for k in _divisors(orders[x]):
+                if rep[t.pow(x, k)] in subgroup:
+                    co = k
+                    break
+            if co == dk:
+                pick = x
+                break
+        assert pick is not None, "no element matches the invariant factor"
+        tgt = rep[t.pow(pick, dk)]
+        if tgt != identity:
+            adj = next(y for y in subgroup if rep[t.pow(y, dk)] == tgt)
+            pick = rep[t.mul(pick, t.inv(adj))]
+        gens.append(pick)
+        new = set()
+        g = identity
+        for _ in range(dk):
+            for z in subgroup:
+                new.add(rep[t.mul(z, g)])
+            g = rep[t.mul(g, pick)]
+        subgroup = new
+    assert len(subgroup) == h, "generators do not span the group"
+    return tuple(divisors_desc), gens
+
+
+def _reference_divisors(d, wide):
+    t = _table(d)
+    if wide and t.neg_principal != t.principal:
+        rep = [min(i, t.mul(i, t.neg_principal)) for i in range(t.h_plus)]
+    else:
+        rep = list(range(t.h_plus))
+    return tuple(reversed(_reference_structure(t, rep)[0]))
+
+
+def test_structure_matches_torsion_counting_reference():
+    ds = [s * a for a in range(3, 3001) for s in (-1, 1) if is_fundamental(s * a)]
+    ds += _seeded_fundamentals(53, 10**7, 10**8, 6)
+    for d in ds:
+        assert narrow_class_group(d).elementary_divisors == _reference_divisors(d, False), d
+        assert wide_class_group(d).elementary_divisors == _reference_divisors(d, True), d
 
 
 def test_enumeration_consistency_sweep():
