@@ -202,9 +202,17 @@ def _fill(fixed, slots, a, perm: list[int]) -> bool:
     return False
 
 
-def _match(case: CatalogCase, discs, a) -> tuple[int, ...] | None:
+def _sign_slots(discs) -> dict[str, list[int]]:
+    """For each sign code, the ascending indices of the discs it admits."""
+    return {code: [i for i, d in enumerate(discs) if _slot_ok(code, d)] for code in "4-+"}
+
+
+def _match(case: CatalogCase, by_code: dict[str, list[int]], a) -> tuple[int, ...] | None:
     """Least permutation (lexicographically) that fits the case, or None.
 
+    by_code is the field's _sign_slots, worked out once per field.  Every
+    disc has exactly one sign code, so a block whose counts of each code
+    differ from the field's admits no bijection and is rejected at once.
     perm[k] is the disc index placed in catalog slot k.  Slots are filled in
     order, each trying the unused sign-admissible indices ascending, and the
     fixed entries between the new slot and every filled one are checked at
@@ -214,15 +222,18 @@ def _match(case: CatalogCase, discs, a) -> tuple[int, ...] | None:
     is a reference cycle, and one per catalog block per field kept the
     cyclic garbage collector running several times per classification.
     """
-    slots = [[i for i in range(len(discs)) if _slot_ok(code, discs[i])] for code in case.signs]
+    if any(len(idx) != case.signs.count(code) for code, idx in by_code.items()):
+        return None
+    slots = [by_code[code] for code in case.signs]
     perm: list[int] = []
     return tuple(perm) if _fill(case.fixed, slots, a, perm) else None
 
 
 def _classify(spec: QuadFieldSpec, m: RedeiMatrix) -> CaseId:
     """classify_open_case on a field whose Redei matrix m is already built."""
+    by_code = _sign_slots(spec.discs)
     for case in catalog_cases():
-        perm = _match(case, spec.discs, m.entries)
+        perm = _match(case, by_code, m.entries)
         if perm is None:
             continue
         if case.status == "resolved":

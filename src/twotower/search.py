@@ -24,7 +24,16 @@ from .arith import (
 )
 from .errors import Exhausted, TemplateMismatch
 from .quadforms import wide_class_group
-from .redei import CatalogCase, _slot_ok, catalog_cases, classify_open_case, f2_rank, redei_matrix
+from .redei import (
+    CatalogCase,
+    _classify,
+    _match,
+    _sign_slots,
+    _slot_ok,
+    catalog_cases,
+    f2_rank,
+    redei_matrix,
+)
 from .tower import cl2_order
 
 
@@ -65,9 +74,17 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     """Fill the holes of a partial disc tuple so the field matches the case.
 
     `partial` lists one entry per catalog slot: a prime discriminant
-    value, or None (or '_') for a hole.  Hole candidates are primes found
-    by residue sieve up to `bound`; every completed tuple is verified by
-    re-classification.  Raises Exhausted when nothing completes.
+    value, or None (or '_') for a hole.  A hole takes -4 in a '4' slot and
+    otherwise -q or +q for an odd prime q <= `bound`, never -8 or 8.  The
+    residue sieve imposes the case's fixed entries between each hole and
+    the known discs at the slots given; a completed field is accepted when
+    it classifies as the case under any permutation.  So a result may fit
+    the case only with its discs at other slots: FamD2d (-4, -19, -43, 29,
+    37) completes (-4, _, _, 29, 37) and fits under (0, 2, 1, 3, 4).  A
+    field that fits only when known discs move is never tried: D1 with
+    holes at slots 2 and 4 of (-4, -11, -43, -7, -3) misses |D| = 43428,
+    (-4, -3, -7, -11, -47).  Returns the first `count` distinct fields by
+    |D|; raises Exhausted when nothing completes.
     """
     cat = _case_by_tag(case)
     slots = [None if v in (None, "_") else int(v) for v in partial]
@@ -123,7 +140,12 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
         spec = QuadFieldSpec.from_disc_values(values)
         if not spec.is_imaginary or spec.discriminant in seen_fields:
             continue
-        if classify_open_case(spec).tag == cat.tag:
+        # One _match against the target block rejects a candidate; _classify
+        # then applies the catalog's first-match rule to the ones that fit.
+        m = redei_matrix(spec)
+        if _match(cat, _sign_slots(spec.discs), m.entries) is None:
+            continue
+        if _classify(spec, m).tag == cat.tag:
             seen_fields.add(spec.discriminant)
             results.append(spec)
     if not results:

@@ -1,5 +1,6 @@
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -86,6 +87,13 @@ def test_kronecker_multiplicative():
             assert kronecker(a * b, n) == kronecker(a, n) * kronecker(b, n)
 
 
+def test_kronecker_against_sympy():
+    numbers = pytest.importorskip("sympy.functions.combinatorial.numbers")
+    for a in range(-60, 61):
+        for n in range(-60, 61):
+            assert kronecker(a, n) == numbers.kronecker_symbol(a, n), (a, n)
+
+
 def test_prime_disc_reciprocity():
     """Symmetric unless both discs negative (and not -4): then antisymmetric."""
     odd_primes = [p for p in primes_up_to(500) if p != 2]
@@ -110,6 +118,13 @@ def test_is_prime_small_and_big():
     assert not is_prime(3215031751)  # strong pseudoprime to bases 2,3,5,7
 
 
+def test_is_prime_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(23)
+    for n in [*range(-5, 20001), *(rng.randint(10**12, 10**18) for _ in range(300))]:
+        assert is_prime(n) == sympy.isprime(n), n
+
+
 def test_factor_examples():
     assert factor(12) == [2, 2, 3]
     assert factor(2305) == [5, 461]
@@ -126,6 +141,14 @@ def test_factor_recomposes():
             prod *= p
             assert is_prime(p)
         assert prod == n
+
+
+def test_factor_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(31)
+    for _ in range(300):
+        n = rng.randrange(1, 10**12)
+        assert Counter(factor(n)) == sympy.factorint(n), n
 
 
 def test_prime_disc_factorization_examples():

@@ -146,6 +146,26 @@ def test_group_laws_small_range():
                     assert table.mul(ij, k) == table.mul(i, table.mul(j, k))
 
 
+def test_composition_group_laws_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    ds = _seeded_fundamentals(61, 10**3, 10**6, 12)
+    assert {d > 0 for d in ds} == {False, True}
+
+    @hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
+    @hypothesis.given(st.sampled_from(ds), st.data())
+    def laws(d, data):
+        reps = _table(d).reps
+        f, g, h = (QuadForm(*reps[data.draw(st.integers(0, len(reps) - 1))]) for _ in range(3))
+        e = reduce_form(principal_form(d))
+        assert compose(f, e) == reduce_form(f)
+        assert compose(f, inverse(f)) == e
+        assert compose(f, g) == compose(g, f)
+        assert compose(compose(f, g), h) == compose(f, compose(g, h))
+
+    laws()
+
+
 def test_compose_raw_preserves_discriminant():
     from twotower.quadforms import _compose_raw
 
@@ -623,11 +643,19 @@ def test_known_real_class_numbers():
 
 
 def test_analytic_class_number_formula():
-    # h(D) = (sum of chi_D over (0, |D|/2)) / (2 - chi_D(2)) for D < -4:
-    # a character-sum oracle fully independent of forms and composition.
+    # Character-sum oracles fully independent of forms and composition, for
+    # D < -4: h(D) = (sum of chi_D over (0, |D|/2)) / (2 - chi_D(2)), and
+    # Dirichlet's h(D) = -(1/|D|) sum_{a=1}^{|D|-1} chi_D(a) a, in integers,
+    # against class_number, which reads the table size alone.
+    count = 0
     for d in range(-3000, -4):
         if not is_fundamental(d):
             continue
         s = sum(kronecker(d, a) for a in range(1, (-d + 1) // 2))
         assert s % (2 - kronecker(d, 2)) == 0
         assert s // (2 - kronecker(d, 2)) == narrow_class_group(d).order, d
+        s = sum(kronecker(d, a) * a for a in range(1, -d))
+        assert s % d == 0
+        assert class_number(d) == s // d, d
+        count += 1
+    assert count == 909

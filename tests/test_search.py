@@ -2,10 +2,17 @@ import itertools
 
 import pytest
 
-from twotower.arith import is_fundamental, prime_disc_factorization
+from test_redei import CATALOG_MEMBERS
+from twotower.arith import (
+    PrimeDiscriminant,
+    QuadFieldSpec,
+    is_fundamental,
+    prime_disc_factorization,
+    primes_up_to,
+)
 from twotower.errors import Exhausted, TemplateMismatch
 from twotower.quadforms import wide_class_group
-from twotower.redei import classify_open_case, f2_rank, redei_matrix
+from twotower.redei import _slot_ok, catalog_cases, classify_open_case, f2_rank, redei_matrix
 from twotower.search import (
     _TEMPLATES,
     _template_ok,
@@ -44,6 +51,53 @@ def test_complete_reclassifies_to_case():
         assert specs
         for spec in specs:
             assert classify_open_case(spec).tag == tag
+
+
+def test_complete_against_brute_force():
+    # Every two-hole pattern of one member of each open case, against a
+    # brute force over all hole values complete_tuple documents: -4 and
+    # +-q for odd primes q <= bound (+-8 is never a hole value).  The
+    # hole-against-known entries are read from the Redei matrix at the
+    # given slots, not from residue sets.
+    bound = 150
+    pool = [PrimeDiscriminant.from_value(-4)] + [
+        PrimeDiscriminant.from_value(p if p % 4 == 1 else -p) for p in primes_up_to(bound)[1:]
+    ]
+    total = 0
+    for case in catalog_cases():
+        if case.status != "open":
+            continue
+        for holes in itertools.combinations(range(5), 2):
+            partial = [None if i in holes else v for i, v in enumerate(CATALOG_MEMBERS[case.tag])]
+            try:
+                specs = complete_tuple(case.tag, partial, bound, count=10**6)
+            except Exhausted:
+                specs = []
+            got = {s.discriminant: s.values() for s in specs}
+            pairs = [(i, j) for j in holes for i in range(5) if i not in holes]
+            want = {}
+            choices = [[d.value for d in pool if _slot_ok(case.signs[j], d)] for j in holes]
+            for fill in itertools.product(*choices):
+                values = list(partial)
+                for j, v in zip(holes, fill):
+                    values[j] = v
+                if len({PrimeDiscriminant.from_value(v).prime for v in values}) != 5:
+                    continue
+                spec = QuadFieldSpec.from_disc_values(values)
+                if spec.discriminant > 0 or spec.discriminant in want:
+                    continue
+                a = redei_matrix(spec).entries
+                if any(
+                    case.fixed[x][y] is not None and a[x][y] != case.fixed[x][y]
+                    for i, j in pairs
+                    for x, y in ((i, j), (j, i))
+                ):
+                    continue
+                if classify_open_case(spec).tag == case.tag:
+                    want[spec.discriminant] = spec.values()
+            assert got == want, (case.tag, holes)
+            total += len(got)
+    assert total == 513
 
 
 def test_complete_template_mismatch():
