@@ -30,6 +30,11 @@ class RedeiMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
 
+def _entry(value: int, prime: int) -> int:
+    """The F2 Redei entry of the symbol (value/prime): 0 when it is 1, else 1."""
+    return 0 if kronecker(value, prime) == 1 else 1
+
+
 def redei_matrix(spec: QuadFieldSpec) -> RedeiMatrix:
     """Redei matrix of the field, rows/columns in the spec's disc order.
 
@@ -37,18 +42,12 @@ def redei_matrix(spec: QuadFieldSpec) -> RedeiMatrix:
     cofactor symbol ((Delta/p_i*)/p_i), which by multiplicativity equals
     the column sum of the off-diagonal entries, so column sums vanish.
     """
-    t = spec.t
     discs = spec.discs
     delta = spec.discriminant
     rows = []
-    for i in range(t):
-        row = []
-        for j in range(t):
-            if i == j:
-                top = delta // discs[i].value
-                row.append(0 if kronecker(top, discs[i].prime) == 1 else 1)
-            else:
-                row.append(0 if kronecker(discs[i].value, discs[j].prime) == 1 else 1)
+    for i, di in enumerate(discs):
+        top = delta // di.value
+        row = [_entry(top if i == j else di.value, dj.prime) for j, dj in enumerate(discs)]
         rows.append(tuple(row))
     return RedeiMatrix(tuple(rows), discs)
 

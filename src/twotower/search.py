@@ -2,10 +2,10 @@
 matrix case, list base fields with prescribed 2-class size, and generate
 members of the two published infinite families of base fields.
 
-Kronecker conditions against known discs become residue conditions (mod 8
-for the prime 2, quadratic-residue sets mod each odd known prime), which
-are intersected by a sieve; every candidate tuple is then re-classified
-before it is returned, so results are verified, never assumed.
+Each hole keeps the primes whose Redei entries against the known discs
+are the case's fixed entries, checked with the same entry rule that builds
+the Redei matrix; every candidate tuple is then re-classified before it is
+returned, so results are verified, never assumed.
 """
 
 from __future__ import annotations
@@ -16,17 +16,17 @@ from typing import Iterator
 from .arith import (
     PrimeDiscriminant,
     QuadFieldSpec,
-    crt_prime_search,
     is_fundamental,
     is_prime,
-    kronecker,
     prime_disc_factorization,
+    primes_up_to,
 )
 from .errors import Exhausted, TemplateMismatch
 from .quadforms import wide_class_group
 from .redei import (
     CatalogCase,
     _classify,
+    _entry,
     _match,
     _sign_slots,
     _slot_ok,
@@ -45,47 +45,25 @@ def _case_by_tag(tag) -> CatalogCase:
     raise TemplateMismatch(f"unknown or non-open catalog case {name!r}")
 
 
-def _entry(v_num: int, p_den: int) -> int:
-    return 0 if kronecker(v_num, p_den) == 1 else 1
-
-
-def _residues_for_symbol_on(prime: int, sign: int, target: int) -> tuple[int, set[int]]:
-    """Residues r mod `prime` (odd) with kronecker(sign * q, prime) = target for q = r."""
-    want = target * kronecker(sign, prime)
-    return prime, {r for r in range(1, prime) if kronecker(r, prime) == want}
-
-
-def _residues_mod8(sign: int, target: int) -> tuple[int, set[int]]:
-    """Residues of q mod 8 with kronecker(sign * q, 2) = target."""
-    return 8, {r for r in (1, 3, 5, 7) if kronecker(sign * r, 2) == target}
-
-
-def _residues_for_disc_at(value: int, target: int) -> tuple[int, set[int]]:
-    """Residues of q mod |value| with kronecker(value, q) = target.
-
-    A fundamental discriminant's Kronecker symbol is a Dirichlet
-    character modulo its absolute value.
-    """
-    m = abs(value)
-    return m, {r for r in range(1, m) if kronecker(value, r) == target}
-
-
 def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldSpec]:
     """Fill the holes of a partial disc tuple so the field matches the case.
 
     `partial` lists one entry per catalog slot: a prime discriminant
     value, or None (or '_') for a hole.  A hole takes -4 in a '4' slot and
-    otherwise -q or +q for an odd prime q <= `bound`, never -8 or 8.  The
-    residue sieve imposes the case's fixed entries between each hole and
-    the known discs at the slots given; a completed field is accepted when
+    otherwise -q or +q for an odd prime q <= `bound`, never -8 or 8, and
+    keeps only the q whose entries against the known discs at the slots
+    given are the case's fixed entries; a completed field is accepted when
     it classifies as the case under any permutation.  So a result may fit
     the case only with its discs at other slots: FamD2d (-4, -19, -43, 29,
     37) completes (-4, _, _, 29, 37) and fits under (0, 2, 1, 3, 4).  A
     field that fits only when known discs move is never tried: D1 with
     holes at slots 2 and 4 of (-4, -11, -43, -7, -3) misses |D| = 43428,
     (-4, -3, -7, -11, -47).  Returns the first `count` distinct fields by
-    |D|; raises Exhausted when nothing completes.
+    |D|; raises Exhausted when nothing completes and ValueError when
+    `count` is below 1.
     """
+    if count < 1:
+        raise ValueError(f"count must be at least 1, not {count}")
     cat = _case_by_tag(case)
     slots = [None if v in (None, "_") else int(v) for v in partial]
     if len(slots) != 5:
@@ -107,6 +85,7 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
                 raise Exhausted(
                     f"known discs violate fixed entry ({i},{j}); no completion exists"
                 )
+    odd_primes = [q for q in primes_up_to(bound)[1:] if q not in known_primes]
     candidates: list[list[int]] = []
     for j in holes:
         code = cat.signs[j]
@@ -114,20 +93,23 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
             candidates.append([-4] if 2 not in known_primes else [])
             continue
         sign = -1 if code == "-" else 1
-        conds = [(4, {3} if sign < 0 else {1})]
-        for i, v in known.items():
-            d = PrimeDiscriminant.from_value(v)
-            row = cat.fixed[j][i]  # (q*/p_i)
-            if row is not None:
-                if d.prime == 2:
-                    conds.append(_residues_mod8(sign, 1 - 2 * row))
-                else:
-                    conds.append(_residues_for_symbol_on(d.prime, sign, 1 - 2 * row))
-            col = cat.fixed[i][j]  # (p_i*/q)
-            if col is not None:
-                conds.append(_residues_for_disc_at(v, 1 - 2 * col))
-        qs = [q for q in crt_prime_search(conds, bound) if q not in known_primes]
-        candidates.append([sign * q for q in qs])
+        # (v, p, (q*/p), (v/q)) for each known disc v = p*; None is a wildcard.
+        entries = [
+            (v, PrimeDiscriminant.from_value(v).prime, cat.fixed[j][i], cat.fixed[i][j])
+            for i, v in known.items()
+        ]
+        candidates.append(
+            [
+                sign * q
+                for q in odd_primes
+                if sign * q % 4 == 1
+                and all(
+                    (row is None or _entry(sign * q, p) == row)
+                    and (col is None or _entry(v, q) == col)
+                    for v, p, row, col in entries
+                )
+            ]
+        )
     results: list[QuadFieldSpec] = []
     seen_fields: set[int] = set()
     for fill in itertools.product(*candidates):

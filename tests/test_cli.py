@@ -111,6 +111,22 @@ def test_search_complete_jsonl(capsys):
         validator.validate(line)
 
 
+def test_search_complete_rejects_count_below_one(capsys):
+    for count in ("0", "-2"):
+        code, out, err = run(
+            capsys,
+            "search",
+            "complete",
+            "--case",
+            "B",
+            "--partial=-3,-11,_,-7,-31",
+            "--bound",
+            "200",
+            f"--count={count}",
+        )
+        assert code == 2 and out == "" and "count" in err
+
+
 def test_search_base_fields_jsonl(capsys):
     code, out, _ = run(
         capsys,

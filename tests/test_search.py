@@ -30,7 +30,8 @@ def test_complete_case_b_gives_107_first():
 
 def test_complete_case_b_progression():
     # 107's whole residue class mod 3*11*7*31*4 stays admissible: its next
-    # prime member 107 + 28644 comes through the sieve and re-classifies.
+    # prime member 107 + 28644 passes the hole's entry filter and
+    # re-classifies.
     specs = complete_tuple("B", [-3, -11, None, -7, -31], 30000, count=500)
     qs = {-s.values()[2] for s in specs}
     assert 107 in qs and 107 + 28644 in qs
@@ -54,50 +55,62 @@ def test_complete_reclassifies_to_case():
 
 
 def test_complete_against_brute_force():
-    # Every two-hole pattern of one member of each open case, against a
-    # brute force over all hole values complete_tuple documents: -4 and
-    # +-q for odd primes q <= bound (+-8 is never a hole value).  The
-    # hole-against-known entries are read from the Redei matrix at the
-    # given slots, not from residue sets.
+    # Hole patterns of one member of each open case, and of two members
+    # with a known +-8, against a brute force over all hole values
+    # complete_tuple documents: -4 and +-q for odd primes q <= bound (+-8
+    # is never a hole value).  The hole-against-known entries are read from
+    # the Redei matrix at the given slots, not from the search's filter.
     bound = 150
     pool = [PrimeDiscriminant.from_value(-4)] + [
         PrimeDiscriminant.from_value(p if p % 4 == 1 else -p) for p in primes_up_to(bound)[1:]
     ]
-    total = 0
-    for case in catalog_cases():
-        if case.status != "open":
-            continue
-        for holes in itertools.combinations(range(5), 2):
-            partial = [None if i in holes else v for i, v in enumerate(CATALOG_MEMBERS[case.tag])]
-            try:
-                specs = complete_tuple(case.tag, partial, bound, count=10**6)
-            except Exhausted:
-                specs = []
-            got = {s.discriminant: s.values() for s in specs}
-            pairs = [(i, j) for j in holes for i in range(5) if i not in holes]
-            want = {}
-            choices = [[d.value for d in pool if _slot_ok(case.signs[j], d)] for j in holes]
-            for fill in itertools.product(*choices):
-                values = list(partial)
-                for j, v in zip(holes, fill):
-                    values[j] = v
-                if len({PrimeDiscriminant.from_value(v).prime for v in values}) != 5:
-                    continue
-                spec = QuadFieldSpec.from_disc_values(values)
-                if spec.discriminant > 0 or spec.discriminant in want:
-                    continue
-                a = redei_matrix(spec).entries
-                if any(
-                    case.fixed[x][y] is not None and a[x][y] != case.fixed[x][y]
-                    for i, j in pairs
-                    for x, y in ((i, j), (j, i))
-                ):
-                    continue
-                if classify_open_case(spec).tag == case.tag:
-                    want[spec.discriminant] = spec.values()
-            assert got == want, (case.tag, holes)
-            total += len(got)
-    assert total == 513
+    cases = {c.tag: c for c in catalog_cases() if c.status == "open"}
+
+    def check(tag, member, holes):
+        case = cases[tag]
+        partial = [None if i in holes else v for i, v in enumerate(member)]
+        try:
+            specs = complete_tuple(tag, partial, bound, count=10**6)
+        except Exhausted:
+            specs = []
+        got = {s.discriminant: s.values() for s in specs}
+        pairs = [(i, j) for j in holes for i in range(5) if i not in holes]
+        want = {}
+        choices = [[d.value for d in pool if _slot_ok(case.signs[j], d)] for j in holes]
+        for fill in itertools.product(*choices):
+            values = list(partial)
+            for j, v in zip(holes, fill):
+                values[j] = v
+            if len({PrimeDiscriminant.from_value(v).prime for v in values}) != 5:
+                continue
+            spec = QuadFieldSpec.from_disc_values(values)
+            if spec.discriminant > 0 or spec.discriminant in want:
+                continue
+            a = redei_matrix(spec).entries
+            if any(
+                case.fixed[x][y] is not None and a[x][y] != case.fixed[x][y]
+                for i, j in pairs
+                for x, y in ((i, j), (j, i))
+            ):
+                continue
+            if classify_open_case(spec).tag == tag:
+                want[spec.discriminant] = spec.values()
+        assert got == want, (tag, member, holes)
+        return len(got)
+
+    def total(members, k):
+        return sum(
+            check(tag, member, holes)
+            for tag, member in members
+            for holes in itertools.combinations(range(5), k)
+        )
+
+    members = [(tag, CATALOG_MEMBERS[tag]) for tag in cases]
+    assert total(members, 2) == 513
+    assert total(members, 1) == 125
+    with_8 = [("M28", (-7, -3, -47, 8, 5)), ("B", (-8, -47, -31, -43, -3))]
+    assert total(with_8, 1) == 15
+    assert total(with_8, 2) == 63
 
 
 def test_complete_template_mismatch():
@@ -116,6 +129,12 @@ def test_complete_template_mismatch():
 def test_complete_exhausted():
     with pytest.raises(Exhausted):
         complete_tuple("B", [-3, -11, None, -7, -31], 100)  # 107 > 100
+
+
+def test_complete_count_below_one():
+    for count in (0, -1):
+        with pytest.raises(ValueError):
+            complete_tuple("B", [-3, -11, None, -7, -31], 200, count=count)
 
 
 def test_find_base_fields_named_sets():
