@@ -328,8 +328,8 @@ def primes_up_to(n: int) -> list[int]:
     sieve[0] = sieve[1] = 0
     for p in range(2, isqrt(n) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i in range(2, n + 1) if sieve[i]]
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return list(itertools.compress(range(n + 1), sieve))
 
 
 def crt_prime_search(conditions, range_bound: int) -> list[int]:
@@ -357,36 +357,49 @@ def crt_prime_search(conditions, range_bound: int) -> list[int]:
 
 
 def sqrt_mod_prime(a: int, p: int) -> int:
-    """Least square root of a modulo prime p; raises NoSquareRoot if none."""
+    """Least square root of a modulo prime p; raises NoSquareRoot if none.
+
+    Residues are told by Euler's criterion, and the root is Tonelli-Shanks
+    (Cohen, GTM 138, Alg. 1.5.1).  Both Tonelli loops are bounded and the
+    root is checked by squaring, so a composite p raises NoSquareRoot or
+    gives a true root; it never hangs.
+    """
     a %= p
     if p == 2 or a == 0:
-        return a % p
-    if kronecker(a, p) != 1:
+        return a
+    half = (p - 1) // 2
+    if pow(a, half, p) != 1:
         raise NoSquareRoot(f"{a} is not a square mod {p}")
     if p % 4 == 3:
         x = pow(a, (p + 1) // 4, p)
-        return min(x, p - x)
-    # Tonelli-Shanks: p - 1 = s * 2^e with s odd.
-    s, e = p - 1, 0
-    while s % 2 == 0:
-        s //= 2
-        e += 1
-    n = 2
-    while kronecker(n, p) != -1:
-        n += 1
-    x = pow(a, (s + 1) // 2, p)
-    b = pow(a, s, p)
-    g = pow(n, s, p)
-    r = e
-    while True:
-        t, m = b, 0
-        while t != 1:
-            t = t * t % p
-            m += 1
-        if m == 0:
-            return min(x, p - x)
-        gs = pow(g, 1 << (r - m - 1), p)
-        g = gs * gs % p
-        x = x * gs % p
-        b = b * g % p
-        r = m
+    else:
+        # p - 1 = s * 2^e with s odd.
+        s, e = p - 1, 0
+        while s % 2 == 0:
+            s //= 2
+            e += 1
+        n = 2
+        while n < p and pow(n, half, p) != p - 1:
+            n += 1
+        if n == p:
+            raise NoSquareRoot(f"no quadratic non-residue mod {p}")
+        x = pow(a, (s + 1) // 2, p)
+        b = pow(a, s, p)
+        g = pow(n, s, p)
+        r = e
+        while b != 1:
+            # The order of b is 2^m with m < r; r falls on every round.
+            t, m = b, 0
+            while t != 1 and m < r:
+                t = t * t % p
+                m += 1
+            if m == r:
+                raise NoSquareRoot(f"{a} has no square root found mod {p}")
+            gs = pow(g, 1 << (r - m - 1), p)
+            g = gs * gs % p
+            x = x * gs % p
+            b = b * g % p
+            r = m
+    if x * x % p != a:
+        raise NoSquareRoot(f"{a} has no square root found mod {p}")
+    return min(x, p - x)

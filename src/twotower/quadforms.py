@@ -20,9 +20,11 @@ equal rank across primes.
 
 class_number is the cheap path: it reads h off the reduced-form table
 and skips the structure computation, so callers that need only |Cl_2|
-(the 2-part of h) never pay for it.  There is one cache, an LRU cache of
-_TABLE_CACHE_SIZE tables; each table computes its narrow and wide
-structures on first request and keeps them.
+(the 2-part of h) never pay for it.  Tables sit in one LRU cache of
+_TABLE_CACHE_SIZE entries.  Each table computes its narrow and wide
+structures on first request and keeps them, and memoizes the order 2-part
+of each class that _ClassTable.prime_info is asked about, narrow and
+wide, so at most 2h of those per table.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from functools import lru_cache
 from math import isqrt, prod
 from typing import NamedTuple, Sequence
 
-from .arith import factorization, is_fundamental, kronecker, sqrt_mod_prime, xgcd
+from .arith import factorization, is_fundamental, is_prime, kronecker, sqrt_mod_prime, xgcd
 from .errors import (
     BoundExceeded,
     DiscriminantMismatch,
@@ -335,6 +337,7 @@ class _ClassTable:
         self.wide_kernel = frozenset({self.principal, self.neg_principal})
         self.h_wide = self.h_plus // len(self.wide_kernel)
         self._mul: dict[tuple[int, int], int] = {}
+        self._order_2parts: dict[tuple[int, bool], int] = {}
         self._groups: dict[bool, AbelianGroupStructure] = {}
 
     def class_index(self, f) -> int:
@@ -380,6 +383,19 @@ class _ClassTable:
             y = self.mul(y, y)
             part *= 2
         return part
+
+    def prime_info(self, p: int, sym: int, wide: bool) -> PrimeClassInfo:
+        """prime_class_info for a prime p with sym = (d/p), neither rechecked.
+
+        The order 2-part is kept per (class, wide), at most 2 h entries.
+        """
+        if sym == -1:
+            return _INERT
+        i = self.class_index(_prime_form(self.d, p))
+        part = self._order_2parts.get((i, wide))
+        if part is None:
+            part = self._order_2parts[i, wide] = self.order_2part_mod(i, wide)
+        return PrimeClassInfo("split" if sym == 1 else "ramified", part)
 
     def group(self, wide: bool) -> AbelianGroupStructure:
         """Narrow or wide class group structure, computed once per table.
@@ -577,10 +593,8 @@ def negative_pell_solvable(d: int) -> bool:
     return any(g[0] == -1 for g in _cycle(f, d))
 
 
-def prime_form(d: int, p: int) -> QuadForm:
-    """A form (p, b, c) of discriminant d for a prime p split or ramified in Q(sqrt(d))."""
-    if kronecker(d, p) == -1:
-        raise NoSquareRoot(f"{p} is inert in discriminant {d}")
+def _prime_form(d: int, p: int) -> QuadForm:
+    """prime_form for a prime p known to be split or ramified; nothing is rechecked."""
     if p == 2:
         for b in (0, 1, 2):
             if (b * b - d) % 8 == 0:
@@ -602,12 +616,29 @@ def prime_form(d: int, p: int) -> QuadForm:
     return QuadForm(p, b, (b * b - d) // (4 * p))
 
 
+def _require_prime(p: int) -> None:
+    if not is_prime(p):
+        raise ValueError(f"{p} is not a prime")
+
+
+def prime_form(d: int, p: int) -> QuadForm:
+    """A form (p, b, c) of discriminant d for a prime p split or ramified in Q(sqrt(d))."""
+    _require_prime(p)
+    if kronecker(d, p) == -1:
+        raise NoSquareRoot(f"{p} is inert in discriminant {d}")
+    return _prime_form(d, p)
+
+
 @dataclass(frozen=True)
 class PrimeClassInfo:
     """Splitting of a rational prime and the 2-part of its ideal-class order."""
 
     split_type: str  # "split" | "inert" | "ramified"
     order_2part: int
+
+
+# Inert primes are principal.
+_INERT = PrimeClassInfo("inert", 1)
 
 
 def prime_class_info(
@@ -617,12 +648,9 @@ def prime_class_info(
 
     order_2part is the largest power of 2 dividing the order of the
     class of a prime above p, in the wide group by default (the narrow
-    variant is experimental).  Inert primes are principal, so 1.
+    variant is experimental).  Inert primes are principal, so 1.  Raises
+    ValueError unless p is prime.
     """
+    _require_prime(p)
     sym = kronecker(d, p)
-    if sym == -1:
-        return PrimeClassInfo("inert", 1)
-    t = _table(d, bound)
-    idx = t.class_index(prime_form(d, p))
-    part = t.order_2part_mod(idx, wide)
-    return PrimeClassInfo("split" if sym == 1 else "ramified", part)
+    return _table(d, bound).prime_info(p, sym, wide)

@@ -5,17 +5,25 @@ violation would mean a defect in the class-group kernel, so the reports
 must come back clean), and one open-ended experiment tabulates how the
 2-part of prime ideal class orders depends on the Kronecker symbol
 vector at the base field's prime discriminants.
+
+Each sweep fetches the class table of its base field once and asks it
+about one prime at a time (_ClassTable.prime_info).  The symbols come
+from periodicity: for a fundamental discriminant v, n -> (v/n) on n > 0
+is periodic mod |v|, so each value keeps its symbols by p mod |v|,
+filled on first use, and (d/p) is the product of the vector.  A sweep
+thus makes at most min(|v|, number of primes) kronecker calls per value.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 from typing import Iterable, Iterator
 
 from .arith import QuadFieldSpec, is_prime, kronecker, primes_up_to
 from .errors import PreconditionUnmet
-from .quadforms import narrow_class_group, prime_class_info, wide_class_group
+from .quadforms import _table, narrow_class_group, wide_class_group
 from .redei import redei_matrix
 from .tower import _count_in_l, cl2_order
 
@@ -72,24 +80,38 @@ class VerifyReport:
         return f"checked {self.checked} primes, {len(self.violations)} {word}"
 
 
+def _symbol_vectors(
+    values: tuple[int, ...], bound: int
+) -> Iterator[tuple[int, tuple[int, ...], int]]:
+    """(p, ((v/p) for v in values), (d/p)) for each prime p <= bound not dividing d.
+
+    d is the product of values, all prime discriminants; each (v/p) is
+    read from a memo keyed by p mod |v|.
+    """
+    d = prod(values)
+    memos = [(v, abs(v), {}) for v in values]
+    for p in primes_up_to(bound):
+        if d % p == 0:
+            continue
+        symbols = []
+        for v, m, memo in memos:
+            r = p % m
+            s = memo.get(r)
+            if s is None:
+                s = memo[r] = kronecker(v, p)
+            symbols.append(s)
+        yield p, tuple(symbols), prod(symbols)
+
+
 def iter_rows(
     f: QuadFieldSpec, bound: int, wide: bool = True
 ) -> Iterator[ExperimentRow]:
     """Stream one row per prime <= bound coprime to the discriminant."""
-    d = f.discriminant
-    values = f.values()
+    t = _table(f.discriminant)
     c = cl2_order(f, wide)
-    for p in primes_up_to(bound):
-        if d % p == 0:
-            continue
-        info = prime_class_info(d, p, wide=wide)
-        yield ExperimentRow(
-            p,
-            tuple(kronecker(v, p) for v in values),
-            info.split_type,
-            info.order_2part,
-            _count_in_l(c, info),
-        )
+    for p, symbols, sym in _symbol_vectors(f.values(), bound):
+        info = t.prime_info(p, sym, wide)
+        yield ExperimentRow(p, symbols, info.split_type, info.order_2part, _count_in_l(c, info))
 
 
 def summarize_rows(rows: Iterable[ExperimentRow]) -> dict[str, list[int]]:
@@ -120,15 +142,15 @@ def verify_real_pair(
     if l1 == l2 or l1 % 4 != 1 or l2 % 4 != 1 or not (is_prime(l1) and is_prime(l2)):
         raise PreconditionUnmet("need distinct primes l1, l2, both 1 mod 4")
     f = QuadFieldSpec.from_disc_values([l1, l2])
-    d = f.discriminant
+    t = _table(f.discriminant)
     c = cl2_order(f, wide)
     checked = 0
     violations = []
-    for p in primes_up_to(bound):
-        if kronecker(l1, p) != -1 or kronecker(l2, p) != -1:
+    for p, symbols, sym in _symbol_vectors(f.values(), bound):
+        if symbols != (-1, -1):
             continue
         checked += 1
-        count = _count_in_l(c, prime_class_info(d, p, wide=wide))
+        count = _count_in_l(c, t.prime_info(p, sym, wide))
         if count != 2:
             violations.append((p, f"expected 2 primes in L, found {count}"))
     return VerifyReport(f, bound, "wide" if wide else "narrow", checked, tuple(violations))
@@ -166,17 +188,15 @@ def verify_imag_triple(
     if group.two_rank != 2 or group.four_rank != 1 or c < 8:
         raise PreconditionUnmet(f"Cl_2 is {group.describe()}, not C2 x C2^n with n >= 2")
     max_cyclic = group.max_cyclic_2power
-    values = ordered.values()
+    t = _table(d)
     good = {(1, -1, -1), (-1, 1, -1)}
     checked = 0
     violations = []
-    for p in primes_up_to(bound):
-        if d % p == 0:
-            continue
+    for p, symbols, sym in _symbol_vectors(ordered.values(), bound):
         checked += 1
-        info = prime_class_info(d, p, wide=wide)
+        info = t.prime_info(p, sym, wide)
         two_primes_in_l = info.split_type == "split" and info.order_2part == max_cyclic
-        predicted = tuple(kronecker(v, p) for v in values) in good
+        predicted = symbols in good
         if two_primes_in_l != predicted:
             violations.append(
                 (p, f"splits-into-2 = {two_primes_in_l} but symbols predict {predicted}")

@@ -21,9 +21,9 @@ import json
 from dataclasses import dataclass
 from math import isqrt
 
-from .arith import QuadFieldSpec
+from .arith import QuadFieldSpec, kronecker
 from .errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet
-from .quadforms import PrimeClassInfo, class_number, max_disc_bound, prime_class_info
+from .quadforms import PrimeClassInfo, _table, class_number, max_disc_bound, prime_class_info
 from .redei import CaseId, _classify, _four_rank, redei_matrix, two_ranks
 
 
@@ -177,9 +177,11 @@ def _sub_spec(k: QuadFieldSpec, indices) -> QuadFieldSpec:
 
 
 def _witnesses(f: QuadFieldSpec, c: int, primes) -> tuple[Witness, ...]:
+    d = f.discriminant
+    t = _table(d)
     out = []
     for p in primes:
-        info = prime_class_info(f.discriminant, p)
+        info = t.prime_info(p, kronecker(d, p), True)
         out.append(Witness(p, info.split_type, info.order_2part, _count_in_l(c, info)))
     return tuple(out)
 

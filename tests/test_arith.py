@@ -227,12 +227,49 @@ def test_crt_prime_search_inconsistent():
 
 
 def test_sqrt_mod_prime():
-    for p in [2, 3, 5, 7, 13, 17, 41, 97, 193, 769, 1000003]:
-        for a in range(min(p, 60)):
-            if p != 2 and kronecker(a, p) == -1:
+    # Every a mod p for p < 300, against the set of squares: NoSquareRoot is
+    # raised on exactly the non-residues.
+    for p in primes_up_to(300):
+        squares = {x * x % p for x in range(p)}
+        for a in range(-p, p):
+            if a % p not in squares:
                 with pytest.raises(NoSquareRoot):
                     sqrt_mod_prime(a, p)
                 continue
             r = sqrt_mod_prime(a, p)
-            assert r * r % p == a % p
+            assert r * r % p == a % p, (a, p)
             assert 0 <= r <= p // 2 or p == 2
+    # A large 2-adic valuation of p - 1 gives Tonelli-Shanks many rounds.
+    rng = random.Random(1229)
+    for p in [769, 7681, 12289, 40961, 65537, 786433, 1000003]:
+        n = next(n for n in range(2, p) if kronecker(n, p) == -1)
+        for _ in range(40):
+            x = rng.randrange(1, p)
+            assert sqrt_mod_prime(x * x, p) == min(x, p - x), (x, p)
+            with pytest.raises(NoSquareRoot):
+                sqrt_mod_prime(x * x * n, p)
+
+
+def test_sqrt_mod_composite_modulus_raises_or_roots(within):
+    # At the parent these hung in the unbounded Tonelli-Shanks loops, and
+    # (2, 15) gave 1, which is no root.
+    for a, n in [(1, 9), (1, 25), (4, 21), (2, 33), (2, 65), (2, 15)]:
+        with within(5), pytest.raises(NoSquareRoot):
+            sqrt_mod_prime(a, n)
+    # Any other composite modulus gives a true root or raises, quickly.
+    with within(20):
+        for n in range(4, 400):
+            if is_prime(n):
+                continue
+            for a in range(n):
+                try:
+                    r = sqrt_mod_prime(a, n)
+                except NoSquareRoot:
+                    continue
+                assert r * r % n == a, (a, n)
+
+
+def test_primes_up_to_against_trial_division():
+    for n in range(-2, 301):
+        want = [m for m in range(2, n + 1) if all(m % q for q in range(2, m))]
+        assert primes_up_to(n) == want, n

@@ -551,6 +551,56 @@ def test_prime_form_and_class_info():
         assert prime_class_info(d, p).split_type == "ramified"
 
 
+def test_prime_form_and_class_info_reject_non_primes(within):
+    # At the parent prime_class_info(-84, 25) hung, (-23, 1) reported
+    # "split" and (-23, 0) raised ZeroDivisionError.
+    for d, n in [(-84, 25), (-23, 1), (-23, 0), (-23, -3), (145, 9)]:
+        with within(5):
+            with pytest.raises(ValueError):
+                prime_class_info(d, n)
+            with pytest.raises(ValueError):
+                prime_form(d, n)
+
+
+def _order_2part_oracle(d, p, wide):
+    """2-part of the order of a prime above p, by public composition alone.
+
+    The form of norm p comes from a search for b, and its powers are
+    composed until they reach the identity: the principal class, or for
+    the wide group with d > 0 also the class of the negated principal form.
+    """
+    b = next((b for b in range(2 * p) if (b * b - d) % (4 * p) == 0), None)
+    if b is None:
+        return "inert", 1
+    f = reduce_form(QuadForm(p, b, (b * b - d) // (4 * p)))
+    identity = {reduce_form(principal_form(d))}
+    if wide and d > 0:
+        b0 = d & 1
+        identity.add(reduce_form(QuadForm(-1, b0, (d - b0 * b0) // 4)))
+    g, n = f, 1
+    while g not in identity:
+        g, n = compose(g, f), n + 1
+    return ("ramified" if d % p == 0 else "split"), n & -n
+
+
+def test_order_2part_against_composition_oracle():
+    rng = random.Random(4099)
+    discs = [d for d in range(-6000, 6000) if is_fundamental(d)]
+    seen = set()
+    for d in rng.sample(discs, 80):
+        for p in {2, *factorization(abs(d)), *rng.sample(primes_up_to(150), 4)}:
+            for wide in (True, False):
+                want = _order_2part_oracle(d, p, wide)
+                info = prime_class_info(d, p, wide=wide)
+                assert (info.split_type, info.order_2part) == want, (d, p, wide)
+                seen.add((d > 0, wide, want[0], p == 2))
+    for sign in (True, False):
+        for wide in (True, False):
+            for kind in ("split", "ramified", "inert"):
+                for two in (True, False):
+                    assert (sign, wide, kind, two) in seen
+
+
 def test_split_primes_are_inverse_pairs():
     rng = random.Random(31)
     done = 0

@@ -1,16 +1,26 @@
 import random
+from collections import Counter
 
 import pytest
 
-from twotower.arith import QuadFieldSpec, primes_up_to
+import twotower.splitlab as splitlab
+from twotower.arith import QuadFieldSpec, kronecker, primes_up_to
 from twotower.errors import PreconditionUnmet
-from twotower.quadforms import _table, prime_form
+from twotower.quadforms import (
+    _table,
+    narrow_class_group,
+    prime_class_info,
+    prime_form,
+    wide_class_group,
+)
 from twotower.splitlab import (
+    ExperimentRow,
     explore_symbol_dependence,
     iter_rows,
     verify_imag_triple,
     verify_real_pair,
 )
+from twotower.tower import _count_in_l, cl2_order
 
 
 def test_verify_real_pair_small():
@@ -105,3 +115,92 @@ def test_explore_narrow_variant_runs():
     narrow = explore_symbol_dependence(f, 300, wide=False)
     assert len(wide.rows) == len(narrow.rows)
     assert narrow.group == "narrow"
+
+
+# Reference sweeps: one kronecker call per symbol and one prime_class_info
+# call per prime, as the sweeps were first written.
+
+
+def _reference_rows(f, bound, wide):
+    d = f.discriminant
+    c = cl2_order(f, wide)
+    rows = []
+    for p in primes_up_to(bound):
+        if d % p == 0:
+            continue
+        info = prime_class_info(d, p, wide=wide)
+        symbols = tuple(kronecker(v, p) for v in f.values())
+        count = _count_in_l(c, info)
+        rows.append(ExperimentRow(p, symbols, info.split_type, info.order_2part, count))
+    return rows
+
+
+def _reference_real_pair(l1, l2, bound, wide):
+    f = QuadFieldSpec.from_disc_values([l1, l2])
+    c = cl2_order(f, wide)
+    checked, bad = 0, []
+    for p in primes_up_to(bound):
+        if kronecker(l1, p) != -1 or kronecker(l2, p) != -1:
+            continue
+        checked += 1
+        if _count_in_l(c, prime_class_info(f.discriminant, p, wide=wide)) != 2:
+            bad.append(p)
+    return checked, bad
+
+
+def _reference_imag_triple(ordered, bound, wide):
+    d = ordered.discriminant
+    group = wide_class_group(d) if wide else narrow_class_group(d)
+    checked, bad = 0, []
+    for p in primes_up_to(bound):
+        if d % p == 0:
+            continue
+        checked += 1
+        info = prime_class_info(d, p, wide=wide)
+        two_primes_in_l = info.split_type == "split" and info.order_2part == group.max_cyclic_2power
+        predicted = tuple(kronecker(v, p) for v in ordered.values()) in {(1, -1, -1), (-1, 1, -1)}
+        if two_primes_in_l != predicted:
+            bad.append(p)
+    return checked, bad
+
+
+def _counting_kronecker(monkeypatch):
+    calls = Counter()
+
+    def counted(a, n):
+        calls[a] += 1
+        return kronecker(a, n)
+
+    monkeypatch.setattr(splitlab, "kronecker", counted)
+    return calls
+
+
+# Fields with -4, 8 and -8, with a disc above the prime bound (1009, -719),
+# and real ones for narrow mode with d > 0.
+SWEEP_FIELDS = [
+    (-3, 5, -31), (-4, 5, -31), (8, -3, 13), (-8, 5, -7),
+    (-4, 13), (8, 5, 13), (5, 1009), (-8, -719),
+]
+
+
+def test_sweeps_match_reference(monkeypatch):
+    bound = 700
+    for values in SWEEP_FIELDS:
+        f = QuadFieldSpec.from_disc_values(values)
+        for wide in (True, False):
+            calls = _counting_kronecker(monkeypatch)
+            rows = list(iter_rows(f, bound, wide))
+            assert rows == _reference_rows(f, bound, wide), (values, wide)
+            # (v/p) has period |v| in p, so one kronecker call per class met.
+            for v in values:
+                assert calls[v] <= len({row.p % abs(v) for row in rows}), (values, v, calls[v])
+    for l1, l2 in [(5, 29), (13, 17), (29, 1009)]:
+        for wide in (True, False):
+            report = verify_real_pair(l1, l2, bound, wide)
+            want = _reference_real_pair(l1, l2, bound, wide)
+            assert (report.checked, [p for p, _ in report.violations]) == want, (l1, l2)
+    for triple in [(7, 19, 3), (3, 7, 719)]:
+        for wide in (True, False):
+            report = verify_imag_triple(*triple, bound, wide)
+            want = _reference_imag_triple(report.base_field, bound, wide)
+            assert (report.checked, [p for p, _ in report.violations]) == want, triple
