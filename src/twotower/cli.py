@@ -205,10 +205,7 @@ def main(argv=None) -> int:
         os.environ["TWO_TOWER_MAX_DISC"] = str(args.max_disc)
     try:
         return args.fn(args)
-    except TwoTowerError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except ValueError as exc:
+    except (TwoTowerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

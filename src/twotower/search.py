@@ -16,12 +16,11 @@ from typing import Iterator
 from .arith import (
     PrimeDiscriminant,
     QuadFieldSpec,
-    is_fundamental,
     is_prime,
     prime_disc_factorization,
     primes_up_to,
 )
-from .errors import Exhausted, TemplateMismatch
+from .errors import Exhausted, NotFundamental, TemplateMismatch
 from .quadforms import wide_class_group
 from .redei import (
     CatalogCase,
@@ -168,10 +167,10 @@ def find_base_fields(
     shape = _TEMPLATES[sign_pattern]
     out = []
     for absd in range(3, bound + 1):
-        d = shape["disc_sign"] * absd
-        if not is_fundamental(d):
+        try:
+            spec = prime_disc_factorization(shape["disc_sign"] * absd)
+        except NotFundamental:
             continue
-        spec = prime_disc_factorization(d)
         if spec.t != shape["t"] or not _template_ok(sign_pattern, spec):
             continue
         if f2_rank(redei_matrix(spec)) > redei_rank_max:

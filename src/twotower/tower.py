@@ -4,21 +4,21 @@ The engine proves infinitude either by Golod-Shafarevich directly on the
 2-rank, or by picking a quadratic subfield F of the genus field, passing
 to its Hilbert 2-class field L, and counting primes of L over the
 ramified primes of K that are unramified in F.  Splitting counts come
-from the decomposition law, never from constructing L.  Certificates
-carry enough witness data to be replayed from scratch; everything that
+from the decomposition law, never from constructing L.  Everything that
 fails is recorded as a near-miss diagnostic.
 
 The table CRITERIA, with the base-field shapes in BASE_KINDS, is the
-single source of the base-field criteria and of their attempt order: the
-analyze loop, the lemma_* functions, the near-miss diagnostics and
-replay_certificate all read it.
+single source of the base-field criteria and their attempt order, and
+_evaluate the one computation of a base field's |Cl_2(F)|, witnesses and
+bound.  analyze, the lemma_* functions and kl_rank_lower_bound run them,
+and so does replay_certificate: it recomputes a certificate and compares.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import isqrt
 
 from .arith import QuadFieldSpec, kronecker
@@ -193,17 +193,6 @@ def _bound_check(f: QuadFieldSpec, c: int, witnesses) -> ThresholdCheck:
     return ThresholdCheck(lhs, gs_required(2 * c), 2 * c, not imaginary)
 
 
-def _prop32_diag(name: str, f: QuadFieldSpec, check: ThresholdCheck) -> Diagnostic:
-    return Diagnostic(
-        "prop32-bound",
-        check.lhs,
-        check.required,
-        f"{name} F={list(f.values())}: d2 Cl(KL) >= {check.lhs} by relative genus "
-        f"theory, Golod-Shafarevich at [L:Q]={check.unit_2rank} needs {check.required}; "
-        "the full d2 Cl(KL) criterion is not evaluated",
-    )
-
-
 @dataclass(frozen=True)
 class BaseKind:
     """Shape of a base field F: how many of K's discs it takes and their signs."""
@@ -211,7 +200,7 @@ class BaseKind:
     size: int
     positives: tuple[int, ...]  # admissible counts of positive discs in F
     sign_rule: str  # why a choice of discs with other signs is refused
-    label: str | None = None  # prop32-bound prefix; None: the kind's one criterion
+    label: str  # prefix of the kind's prop32-bound diagnostic
 
     def fits(self, values) -> bool:
         return len(values) == self.size and sum(v > 0 for v in values) in self.positives
@@ -243,7 +232,9 @@ class Criterion:
 
 
 BASE_KINDS = {
-    "triple": BaseKind(3, (0, 2), "chosen discs must have negative product"),
+    "triple": BaseKind(
+        3, (0, 2), "chosen discs must have negative product", "triple-16-two-inert"
+    ),
     "pos-pair": BaseKind(2, (2,), "chosen discs must be positive", "pos-pair"),
     "mixed-pair": BaseKind(2, (1,), "chosen discs must have opposite sign", "mixed-pair"),
 }
@@ -260,21 +251,35 @@ CRITERIA = (
 )
 
 
-def _attempt(k: QuadFieldSpec, kind: str, idx) -> tuple[Certificate | None, list[Diagnostic]]:
-    f = _sub_spec(k, idx)
-    rest = [k.discs[i].prime for i in range(k.t) if i not in idx]
+def _evaluate(k: QuadFieldSpec, f: QuadFieldSpec):
+    """(|Cl_2(F)|, the witnesses at K's primes unramified in F, the bound check)."""
+    rest = [d.prime for d in k.discs if d not in f.discs]
     c = cl2_order(f)  # wide: L = F^1_(2) is unramified at infinity too
     wit = _witnesses(f, c, rest)
-    check = _bound_check(f, c, wit)
-    criteria = [cr for cr in CRITERIA if cr.base_kind == kind]
+    return c, wit, _bound_check(f, c, wit)
+
+
+def _attempt(k: QuadFieldSpec, kind: str, idx, criteria=None):
+    """(certificate of the first criterion F passes or None, diagnostics); default: the kind's."""
+    f = _sub_spec(k, idx)
+    c, wit, check = _evaluate(k, f)
     where = f"F={list(f.values())}"
     diags = []
-    for cr in criteria:
+    for cr in criteria or [cr for cr in CRITERIA if cr.base_kind == kind]:
         short = cr.shortfalls(c, wit)
         if not short and check.holds():
             return Certificate(cr.name, f.values(), c, wit, check), []
         diags += [Diagnostic(f"{cr.name}:{part}", got, need, where) for part, got, need in short]
-    diags.append(_prop32_diag(BASE_KINDS[kind].label or criteria[0].name, f, check))
+    diags.append(
+        Diagnostic(
+            "prop32-bound",
+            check.lhs,
+            check.required,
+            f"{BASE_KINDS[kind].label} {where}: d2 Cl(KL) >= {check.lhs} by relative genus "
+            f"theory, Golod-Shafarevich at [L:Q]={check.unit_2rank} needs {check.required}; "
+            "the full d2 Cl(KL) criterion is not evaluated",
+        )
+    )
     return None, diags
 
 
@@ -328,14 +333,12 @@ def kl_rank_lower_bound(k: QuadFieldSpec, f: QuadFieldSpec) -> int:
     The call is about the one field F, so an F above the discriminant bound
     raises BoundExceeded by design rather than degrading as analyze does.
     """
-    k_values = set(k.values())
-    if not set(f.values()) <= k_values:
+    f_values, k_values = set(f.values()), set(k.values())
+    if not f_values <= k_values:
         raise DivisibilityViolation("F's prime discriminants must divide K's")
-    rest = [d.prime for d in k.discs if d.value not in set(f.values())]
-    if not rest:
+    if f_values == k_values:
         raise DivisibilityViolation("at least one prime of K must be unramified in F")
-    c = cl2_order(f)
-    return _bound_check(f, c, _witnesses(f, c, rest)).lhs
+    return _evaluate(k, f)[2].lhs
 
 
 def _base_fields(k: QuadFieldSpec):
@@ -348,6 +351,15 @@ def _base_fields(k: QuadFieldSpec):
             for kind, shape in BASE_KINDS.items():
                 if shape.fits(values):
                     yield kind, idx
+
+
+def _gs_certificate(k: QuadFieldSpec) -> Certificate | None:
+    """Golod-Shafarevich on K itself: an imaginary K has unit 2-rank 1."""
+    d2, _ = two_ranks(k)
+    if not gs_infinite(d2, 1):
+        return None
+    check = ThresholdCheck(d2, gs_required(1), 1, False)
+    return Certificate("gs-two-rank", k.values(), None, (), check)
 
 
 def analyze(k: QuadFieldSpec) -> TowerReport:
@@ -368,16 +380,8 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
     else:
         case = CaseId("NotOpen", (), "open-case catalog covers t = 5 only")
     diagnostics: list[Diagnostic] = []
-    certificate: Certificate | None = None
-    if gs_infinite(d2, 1):
-        certificate = Certificate(
-            "gs-two-rank",
-            k.values(),
-            None,
-            (),
-            ThresholdCheck(d2, gs_required(1), 1, False),
-        )
-    else:
+    certificate = _gs_certificate(k)
+    if certificate is None:
         diagnostics.append(
             Diagnostic("gs-two-rank", d2, gs_required(1), "direct Golod-Shafarevich on K")
         )
@@ -412,33 +416,27 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
     return TowerReport(k, verdict, d2, d4, case, certificate, tuple(diagnostics))
 
 
+def _unordered(cert: Certificate) -> Certificate:
+    """cert with its base discs and witnesses in one fixed order."""
+    wit = tuple(sorted(cert.witnesses, key=lambda w: w.prime))
+    return replace(cert, base_field_discs=tuple(sorted(cert.base_field_discs)), witnesses=wit)
+
+
 def replay_certificate(cert: Certificate, k: QuadFieldSpec) -> bool:
-    """Recompute every recorded witness from scratch and re-derive the pass."""
+    """True iff analyze's code, run on K for cert's criterion and base field, rebuilds cert.
+
+    The base discs must be distinct discs of K that fit the criterion's base
+    kind; every other field is recomputed and compared, in any order.
+    """
+    if not k.is_imaginary:
+        return False
     if cert.criterion == "gs-two-rank":
-        d2, _ = two_ranks(k)
-        return (
-            cert.threshold_check.lhs == d2
-            and gs_infinite(d2, cert.threshold_check.unit_2rank)
-        )
-    criterion = next((cr for cr in CRITERIA if cr.name == cert.criterion), None)
-    if criterion is None:
-        return False
-    f = QuadFieldSpec.from_disc_values(cert.base_field_discs)
-    if not set(f.values()) <= set(k.values()):
-        return False
-    if not BASE_KINDS[criterion.base_kind].fits(f.values()):
-        return False
-    c = cl2_order(f)
-    if c != cert.cl2_order:
-        return False
-    rest = [d.prime for d in k.discs if d.value not in set(f.values())]
-    if sorted(rest) != sorted(w.prime for w in cert.witnesses):
-        return False
-    fresh = {w.prime: w for w in _witnesses(f, c, rest)}
-    for w in cert.witnesses:
-        if fresh[w.prime] != w:
+        fresh = _gs_certificate(k)
+    else:
+        cr = next((cr for cr in CRITERIA if cr.name == cert.criterion), None)
+        base, values = cert.base_field_discs, k.values()
+        idx = sorted({values.index(v) for v in base if v in values})
+        if cr is None or len(idx) != len(base) or not BASE_KINDS[cr.base_kind].fits(base):
             return False
-    check = _bound_check(f, c, cert.witnesses)
-    if check != cert.threshold_check or not check.holds():
-        return False
-    return not criterion.shortfalls(c, cert.witnesses)
+        fresh, _ = _attempt(k, cr.base_kind, idx, [cr])
+    return fresh is not None and _unordered(fresh) == _unordered(cert)

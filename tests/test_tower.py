@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -14,6 +15,11 @@ from twotower.errors import BoundExceeded, DivisibilityViolation, PreconditionUn
 from twotower.quadforms import narrow_class_group, wide_class_group
 from twotower.search import complete_tuple, dmw_family
 from twotower.tower import (
+    CRITERIA,
+    Certificate,
+    ThresholdCheck,
+    Witness,
+    _base_fields,
     analyze,
     cl2_order,
     gs_infinite,
@@ -266,7 +272,8 @@ def test_certificates_replay_from_reports():
             assert replay_certificate(report.certificate, spec)
 
 
-def test_analyze_fuzz_replay_and_serialize():
+def _fuzz_fields():
+    """60 seeded imaginary fields, each with five prime discriminants."""
     rng = random.Random(12345)
     pool = [-3, -7, -11, -19, -23, -31, -43, -47, -59, -67,
             5, 13, 17, 29, 37, 41, 53, 61, 73, 89, -4, 8, -8]
@@ -281,12 +288,167 @@ def test_analyze_fuzz_replay_and_serialize():
                 prod *= v
             if prod < 0:
                 break
-        k = QuadFieldSpec.from_disc_values(combo)
+        yield QuadFieldSpec.from_disc_values(combo)
+
+
+def test_analyze_fuzz_replay_and_serialize():
+    for k in _fuzz_fields():
         rep = analyze(k)
         assert rep.verdict in ("InfiniteProven", "Open")
         if rep.certificate is not None:
-            assert replay_certificate(rep.certificate, k), combo
+            assert replay_certificate(rep.certificate, k), k
         assert rep.to_json()  # serializes
+
+
+LEMMAS = {"triple": lemma_triple, "pos-pair": lemma_pos_pair, "mixed-pair": lemma_mixed_pair}
+
+
+def test_one_evaluator_for_analyze_lemmas_and_kl_bound():
+    # analyze, kl_rank_lower_bound and the lemma_* functions evaluate a base
+    # field the same way: the bound analyze records for every F it tries is
+    # kl_rank_lower_bound(K, F), and the lemma of F's kind gives analyze's
+    # certificate on its base field.
+    certified = 0
+    for k in _fuzz_fields():
+        report = analyze(k)
+        cert = report.certificate
+        recorded = {}
+        if cert is not None:
+            recorded[cert.base_field_discs] = cert.threshold_check.lhs
+        for d in report.diagnostics:
+            assert d.criterion != "skipped:bound", d
+            if d.criterion == "prop32-bound" or d.criterion.startswith("also-passes:"):
+                where = d.detail.split("F=")[1].split("]")[0] + "]"
+                recorded[tuple(json.loads(where))] = d.achieved
+        tried = list(_base_fields(k))
+        assert len(recorded) == len(tried), k
+        for kind, idx in tried:
+            f = QuadFieldSpec(tuple(k.discs[i] for i in idx))
+            assert kl_rank_lower_bound(k, f) == recorded[f.values()], (k, f)
+            if cert is not None and cert.base_field_discs == f.values():
+                assert LEMMAS[kind](k, idx) == cert, k
+                certified += 1
+    assert certified > 0
+
+
+@pytest.fixture(scope="module")
+def genuine_certificates():
+    """(K, certificate) for one certificate of each CRITERIA kind, in table order."""
+    a = complete_tuple("A", [None, None, -7, -19, -3], 500, count=1)[0]
+    c16 = next(dmw_family(4, 1)).values()
+    m32 = complete_tuple("M32", [None, None, c16[0], None, c16[1]], 400, count=1)[0]
+    m16 = complete_tuple("M16", [-43, None, -3, None, 13], 400, count=1)[0]
+    pos4 = QuadFieldSpec.from_disc_values([8, 89, -3, 5, 41])  # from _fuzz_fields
+    pairs = [
+        (a, lemma_triple(a, (2, 3, 4))),
+        (SCHMITHALS, lemma_pos_pair(SCHMITHALS, (1, 2))),
+        (pos4, lemma_pos_pair(pos4, (0, 4))),
+        (m32, lemma_mixed_pair(m32, (2, 4))),
+        (m16, lemma_mixed_pair(m16, (2, 4))),
+    ]
+    assert [cert.criterion for _, cert in pairs] == [cr.name for cr in CRITERIA]
+    return pairs
+
+
+GS_FIELD = QuadFieldSpec.from_disc_values([-3, -7, -11, -19, -23, 29])
+FOREIGN = 1009  # a prime discriminant of none of the fields above
+
+
+def _other_ints(v):
+    return sorted({v - 1, v + 1, 2 * v, 0} - {v})
+
+
+def _single_changes(k, cert):
+    """(what, changed) for changes of one certificate field or one witness field."""
+    values = k.values()
+    for name in [cr.name for cr in CRITERIA] + ["gs-two-rank"]:
+        if name != cert.criterion:
+            yield f"criterion {name}", dataclasses.replace(cert, criterion=name)
+    base = cert.base_field_discs
+    for i in range(len(base)):
+        for v in [v for v in values if v not in base] + [FOREIGN]:
+            yield f"base disc {i} -> {v}", dataclasses.replace(
+                cert, base_field_discs=base[:i] + (v,) + base[i + 1:]
+            )
+        yield f"base disc {i} dropped", dataclasses.replace(
+            cert, base_field_discs=base[:i] + base[i + 1:]
+        )
+    if base != values:
+        yield "base = K", dataclasses.replace(cert, base_field_discs=values)
+    for c in [None] + _other_ints(cert.cl2_order or 0):
+        if c != cert.cl2_order:
+            yield f"cl2_order {c}", dataclasses.replace(cert, cl2_order=c)
+    wit = cert.witnesses
+    c = cert.cl2_order or 1
+    yield "foreign witness added", dataclasses.replace(
+        cert, witnesses=wit + (Witness(FOREIGN, "inert", 1, c),)
+    )
+    for i, w in enumerate(wit):
+        yield f"witness {i} dropped", dataclasses.replace(cert, witnesses=wit[:i] + wit[i + 1:])
+        yield f"witness {i} repeated", dataclasses.replace(cert, witnesses=wit + (w,))
+        changes = [("prime", p) for p in _other_ints(w.prime) + [d.prime for d in k.discs]]
+        changes += [("split_type", s) for s in ("inert", "split", "ramified")]
+        changes += [("order_2part", n) for n in _other_ints(w.order_2part)]
+        changes += [("count_in_l", n) for n in _other_ints(w.count_in_l)]
+        for field, value in changes:
+            if getattr(w, field) != value:
+                new = dataclasses.replace(w, **{field: value})
+                yield f"witness {i} {field} {value}", dataclasses.replace(
+                    cert, witnesses=wit[:i] + (new,) + wit[i + 1:]
+                )
+    check = cert.threshold_check
+    for field in ("lhs", "required", "unit_2rank"):
+        for n in _other_ints(getattr(check, field)):
+            yield f"{field} {n}", dataclasses.replace(
+                cert, threshold_check=dataclasses.replace(check, **{field: n})
+            )
+    yield "totally_real flipped", dataclasses.replace(
+        cert, threshold_check=dataclasses.replace(check, totally_real=not check.totally_real)
+    )
+
+
+def test_replay_rejects_every_single_change(genuine_certificates):
+    gs = analyze(GS_FIELD).certificate
+    assert gs.criterion == "gs-two-rank"
+    for k, cert in genuine_certificates + [(GS_FIELD, gs)]:
+        assert replay_certificate(cert, k), cert.criterion
+        changes = list(_single_changes(k, cert))
+        assert len(changes) > 20
+        for what, changed in changes:
+            assert changed != cert, what
+            assert not replay_certificate(changed, k), (cert.criterion, what)
+
+
+def test_replay_rejects_forged_two_rank_certificates():
+    # An Open t = 5 field: d2 = 4 falls short of Golod-Shafarevich at unit
+    # 2-rank 1, so no recorded unit 2-rank may make its forgery replay.
+    k = QuadFieldSpec.from_disc_values([-3, -7, 5, -11, 13])
+    assert analyze(k).verdict == "Open"
+    forged = Certificate("gs-two-rank", k.values(), None, (), ThresholdCheck(4, 4, 0, False))
+    assert not replay_certificate(forged, k)
+    # A real K with d2 = 5 has unit 2-rank 2, where Golod-Shafarevich needs 6.
+    real = QuadFieldSpec.from_disc_values([5, 13, 17, 29, 37, 41])
+    forged = Certificate("gs-two-rank", real.values(), None, (), ThresholdCheck(5, 5, 1, False))
+    assert not replay_certificate(forged, real)
+
+
+def test_replay_of_base_discs_outside_k_is_false():
+    cert = analyze(SCHMITHALS).certificate
+    for base in ((5, 9), (5, 5), (5,), (5, 461, 461)):
+        assert not replay_certificate(dataclasses.replace(cert, base_field_discs=base), SCHMITHALS)
+
+
+def test_replay_ignores_order(genuine_certificates):
+    for k, cert in genuine_certificates + [(GS_FIELD, analyze(GS_FIELD).certificate)]:
+        backwards = k.reordered(range(k.t - 1, -1, -1))
+        assert replay_certificate(cert, backwards), cert.criterion
+        assert analyze(backwards).verdict == "InfiniteProven"
+        for changed in (
+            dataclasses.replace(cert, witnesses=cert.witnesses[::-1]),
+            dataclasses.replace(cert, base_field_discs=cert.base_field_discs[::-1]),
+        ):
+            assert replay_certificate(changed, k), cert.criterion
+            assert replay_certificate(changed, backwards), cert.criterion
 
 
 def test_replay_rejects_criterion_on_wrong_base_shape():
