@@ -303,17 +303,23 @@ class QuadFieldSpec:
 
 
 def prime_disc_factorization(d: int) -> QuadFieldSpec:
-    """Split a fundamental discriminant into prime discriminants, ascending by prime."""
-    if not is_fundamental(d):
+    """Split a fundamental discriminant into prime discriminants, ascending by prime.
+
+    One factorization of |d| also decides fundamentality: past the test mod
+    4 (d = 1 mod 4, or d = 4q with q = 2 or 3 mod 4), d is fundamental iff
+    no odd prime divides it twice.  What the odd prime discriminants leave
+    of d is then 1, -4, 8 or -8.
+    """
+    ok = d != 1 and (d % 4 == 1 or d % 4 == 0 and d // 4 % 4 in (2, 3))
+    fac = factorization(abs(d)) if ok else {}
+    fac.pop(2, None)
+    if not ok or any(e > 1 for e in fac.values()):
         raise NotFundamental(f"{d} is not a fundamental discriminant")
-    odd = [p for p in factor(abs(d)) if p != 2]
-    parts = [PrimeDiscriminant(p if p % 4 == 1 else -p, p) for p in sorted(set(odd))]
+    parts = [PrimeDiscriminant(p if p % 4 == 1 else -p, p) for p in sorted(fac)]
     rest = d
     for part in parts:
         rest //= part.value
     if rest != 1:
-        if rest not in (-4, 8, -8):
-            raise NotFundamental(f"{d} has invalid 2-part {rest}")
         parts.insert(0, PrimeDiscriminant(rest, 2))
     spec = QuadFieldSpec(tuple(parts))
     assert spec.discriminant == d
@@ -367,13 +373,19 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     a %= p
     if p == 2 or a == 0:
         return a
-    half = (p - 1) // 2
-    if pow(a, half, p) != 1:
+    if pow(a, (p - 1) // 2, p) != 1:
         raise NoSquareRoot(f"{a} is not a square mod {p}")
+    return _sqrt_of_residue(a, p)
+
+
+def _sqrt_of_residue(a: int, p: int) -> int:
+    """sqrt_mod_prime for an odd prime p and a residue 0 < a < p that the
+    caller has already told from a non-residue; the root is still checked."""
     if p % 4 == 3:
         x = pow(a, (p + 1) // 4, p)
     else:
         # p - 1 = s * 2^e with s odd.
+        half = (p - 1) // 2
         s, e = p - 1, 0
         while s % 2 == 0:
             s //= 2

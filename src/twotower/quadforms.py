@@ -18,13 +18,20 @@ subgroup is spanned by the classes x^(h/p^e), its cyclic factors are
 peeled largest first, and the invariant factors multiply the factors of
 equal rank across primes.
 
-class_number is the cheap path: it reads h off the reduced-form table
-and skips the structure computation, so callers that need only |Cl_2|
-(the 2-part of h) never pay for it.  Tables sit in one LRU cache of
+class_number is the cheap path.  For D < 0 it counts the reduced forms
+without listing them (_class_number_neg, an LRU cache of ints): while
+4a^2 < |D| each root of b^2 = D (mod 4a) is one reduced form, so those a
+add a multiplicative root count with one residue test per odd prime, and
+only the band 4a^2 >= |D|, about 13% of the a, is checked form by form.
+A reduced form labels its class, so the tower reaches an imaginary base
+field with no table at all: _spec_class_number counts h and
+_spec_prime_info powers prime forms (_order_2part_neg).  For D > 0
+class_number reads h off the table.  Tables sit in one LRU cache of
 _TABLE_CACHE_SIZE entries.  Each table computes its narrow and wide
 structures on first request and keeps them, and memoizes the order 2-part
 of each class that _ClassTable.prime_info is asked about, narrow and
-wide, so at most 2h of those per table.
+wide, so at most 2h of those per table; that walk stays on class indices,
+whose memoized products repeat across the classes of a sweep.
 """
 
 from __future__ import annotations
@@ -32,10 +39,11 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import accumulate
 from math import isqrt, prod
 from typing import NamedTuple, Sequence
 
-from .arith import factorization, is_fundamental, is_prime, kronecker, sqrt_mod_prime, xgcd
+from .arith import _sqrt_of_residue, factorization, is_fundamental, is_prime, kronecker, xgcd
 from .errors import (
     BoundExceeded,
     DiscriminantMismatch,
@@ -213,6 +221,11 @@ def _crt(r1, m1: int, r2, m2: int) -> list[int]:
     return [x + m1 * ((y - x) * u % m2) for x in r1 for y in r2]
 
 
+def _is_residue(d: int, p: int) -> bool:
+    """Whether d is a square modulo an odd prime p not dividing it (Euler)."""
+    return pow(d, (p - 1) // 2, p) == 1
+
+
 def _prime_power_roots(d: int, p: int, pe: int, lower: list[int]) -> list[int]:
     """Square roots of d modulo pe = p^e for an odd prime p and fundamental d.
 
@@ -221,9 +234,9 @@ def _prime_power_roots(d: int, p: int, pe: int, lower: list[int]) -> list[int]:
     if d % p == 0:
         return [0] if pe == p else []
     if pe == p:
-        if kronecker(d, p) != 1:
+        if not _is_residue(d, p):
             return []
-        x = sqrt_mod_prime(d, p)
+        x = _sqrt_of_residue(d % p, p)
     elif lower:
         # One Newton (Hensel) step doubles the precision of a root.
         y = lower[0]
@@ -233,15 +246,11 @@ def _prime_power_roots(d: int, p: int, pe: int, lower: list[int]) -> list[int]:
     return [x, pe - x]
 
 
-def _roots_by_leading_coefficient(d: int, top: int):
-    """Yield (a, roots) for 1 <= a <= top, skipping every a without a root;
-    roots lists each r mod 2a with r^2 = d (mod 4a).
+def _two_adic_roots(d: int, top: int) -> list[list[int]]:
+    """Entry k lists each r mod 2^(k+1) with r^2 = d (mod 2^(k+2)), for 2^k <= top.
 
-    For fundamental d.  The roots are built multiplicatively: with a = 2^k m
-    and m odd, r^2 = d (mod 2^(k+2)) depends only on r mod 2^(k+1), so those
-    residues are lifted once per k; the roots mod m join, by CRT, the roots
-    mod m's largest power of its least prime and the roots mod the rest,
-    both smaller odd numbers met before.
+    The list stops early at the first k without roots; r^2 = d (mod
+    2^(k+2)) depends only on r mod 2^(k+1), so each entry lifts the last.
     """
     two = [[r for r in (0, 1) if (r * r - d) % 4 == 0]]
     while 1 << len(two) <= top:
@@ -250,6 +259,19 @@ def _roots_by_leading_coefficient(d: int, top: int):
         if not lifted:
             break
         two.append(lifted)
+    return two
+
+
+def _roots_by_leading_coefficient(d: int, top: int):
+    """Yield (a, roots) for 1 <= a <= top, skipping every a without a root;
+    roots lists each r mod 2a with r^2 = d (mod 4a).
+
+    For fundamental d.  The roots are built multiplicatively: with a = 2^k m
+    and m odd, the roots mod 2^(k+1) come from _two_adic_roots; the roots
+    mod m join, by CRT, the roots mod m's largest power of its least prime
+    and the roots mod the rest, both smaller odd numbers met before.
+    """
+    two = _two_adic_roots(d, top)
     spf = _smallest_prime_factors(top)
     odd: dict[int, list[int]] = {1: [0]}
     for m in range(1, top + 1, 2):
@@ -271,6 +293,71 @@ def _roots_by_leading_coefficient(d: int, top: int):
             if a > top:
                 break
             yield a, _crt(roots_2k, 2 << k, roots_m, m)
+
+
+def _odd_roots(d: int, m: int, spf: Sequence[int]) -> list[int]:
+    """Square roots of d modulo an odd m, joined by CRT over m's prime powers."""
+    roots, mod = [0], 1
+    while m > 1:
+        p = pe = spf[m]
+        lower = _prime_power_roots(d, p, p, [])
+        m //= p
+        while m % p == 0:
+            pe *= p
+            m //= p
+            lower = _prime_power_roots(d, p, pe, lower)
+        roots = _crt(roots, mod, lower, pe)
+        mod *= pe
+    return roots
+
+
+_CLASS_NUMBER_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CLASS_NUMBER_CACHE_SIZE)
+def _class_number_neg(d: int) -> int:
+    """h(d) for a fundamental d < 0: the reduced forms counted, not listed.
+
+    Each root r of b^2 = d (mod 4a) taken mod 2a gives one b in (-a, a] and
+    so one form (a, b, c) with c = (b^2 - d) / (4a) >= |d| / (4a).  While
+    4a^2 < |d|, that is a <= isqrt(|d| - 1) // 2, c > a and every such form
+    is reduced, so those a add the number of roots rho(a).  It is
+    multiplicative: with a = 2^k m and m odd, rho(a) is the number of
+    2-adic roots at k times rho(m), and rho(p^e) is 1 + (d/p) for p not
+    dividing d, 1 for p || d with e = 1 and 0 above.  Only the band
+    4a^2 >= |d| up to sqrt(|d|/3), about 13% of the a, lists its roots and
+    tests c > a or (c == a and b >= 0).  Unchecked: callers prove d
+    fundamental.
+    """
+    top = isqrt(-d // 3)
+    low = isqrt(-d - 1) // 2
+    two = _two_adic_roots(d, top)
+    spf = _smallest_prime_factors(top)
+    # rho[m] = number of roots of d modulo each odd m <= top, 0 at even m.
+    rho = [0] * (top + 1)
+    rho[1] = 1
+    for m in range(3, top + 1, 2):
+        p = spf[m]
+        q = m // p
+        if q == 1:
+            rho[m] = 1 if d % p == 0 else 2 * _is_residue(d, p)
+        elif q % p:
+            rho[m] = rho[p] * rho[q]
+        elif d % p:
+            rho[m] = rho[q]
+    odd_sums = list(accumulate(rho))
+    h = sum(len(roots) * odd_sums[low >> k] for k, roots in enumerate(two))
+    for a in range(low + 1, top + 1):
+        k = (a & -a).bit_length() - 1
+        m = a >> k
+        if k >= len(two) or not rho[m]:
+            continue
+        for r in _crt(two[k], 2 << k, _odd_roots(d, m, spf), m):
+            b = r - 2 * a if r > a else r
+            c = (b * b - d) // (4 * a)
+            if c > a or (c == a and b >= 0):
+                h += 1
+    return h
 
 
 def _reduced_forms_neg(d: int) -> list[tuple[int, int, int]]:
@@ -439,10 +526,47 @@ def _table(d: int, bound: int | None = None) -> _ClassTable:
 def class_number(d: int, wide: bool = True, bound: int | None = None) -> int:
     """Class number of Q(sqrt(d)), wide by default, without the group structure.
 
-    Raises BoundExceeded and NotFundamental exactly as wide_class_group does.
+    For d < 0 the reduced forms are counted without a table
+    (_class_number_neg); for d > 0 h is read off the class table.  Raises
+    BoundExceeded and NotFundamental exactly as wide_class_group does.
     """
-    t = _table(d, bound)
+    _check_bound(d, bound)
+    if d < 0:
+        _check_fundamental(d)
+        return _class_number_neg(d)
+    t = _fundamental_table(d)
     return t.h_wide if wide else t.h_plus
+
+
+def _spec_class_number(d: int, wide: bool = True) -> int:
+    """class_number for a discriminant fundamental by construction (a
+    QuadFieldSpec's): the bound is checked, and for d < 0 nothing is factored."""
+    if d > 0:
+        return class_number(d, wide)
+    _check_bound(d)
+    return _class_number_neg(d)
+
+
+def _order_2part_neg(d: int, h: int, f) -> int:
+    """Largest 2-power dividing the order of f's class, for d < 0 and h = h(d).
+
+    A reduced form is its class's label, so f^m, m the odd part of h, is
+    squared until it reduces to the principal form.
+    """
+    m = h // (h & -h)
+    one = principal_form(d)
+    x, y = _reduce_def(*f), one
+    while m:
+        if m & 1:
+            y = _reduce_def(*_compose_raw(y, x, d))
+        m >>= 1
+        if m:
+            x = _reduce_def(*_compose_raw(x, x, d))
+    part = 1
+    while y != one:
+        y = _reduce_def(*_compose_raw(y, y, d))
+        part *= 2
+    return part
 
 
 @dataclass(frozen=True)
@@ -606,10 +730,10 @@ def _prime_form(d: int, p: int) -> QuadForm:
                 return QuadForm(p, cand, (cand * cand - d) // (4 * p))
         raise NoSquareRoot(f"no ramified form above {p} for discriminant {d}")
     if d % 2:
-        r = sqrt_mod_prime(d % p, p)
+        r = _sqrt_of_residue(d % p, p)
         b = r if r % 2 == 1 else p - r
     else:
-        r = sqrt_mod_prime((d // 4) % p, p)
+        r = _sqrt_of_residue((d // 4) % p, p)
         b = 2 * r
     b %= 2 * p
     assert (b * b - d) % (4 * p) == 0
@@ -654,3 +778,17 @@ def prime_class_info(
     _require_prime(p)
     sym = kronecker(d, p)
     return _table(d, bound).prime_info(p, sym, wide)
+
+
+def _spec_prime_info(d: int, p: int, sym: int) -> PrimeClassInfo:
+    """Wide prime_info for a QuadFieldSpec's discriminant d and sym = (d/p).
+
+    For d < 0 no table is built: the prime form is walked by
+    _order_2part_neg with h from _spec_class_number.
+    """
+    if d > 0:
+        return _table(d).prime_info(p, sym, True)
+    if sym == -1:
+        return _INERT
+    part = _order_2part_neg(d, _spec_class_number(d), _prime_form(d, p))
+    return PrimeClassInfo("split" if sym == 1 else "ramified", part)

@@ -21,7 +21,6 @@ from .arith import (
     primes_up_to,
 )
 from .errors import Exhausted, NotFundamental, TemplateMismatch
-from .quadforms import wide_class_group
 from .redei import (
     CatalogCase,
     _classify,
@@ -31,6 +30,7 @@ from .redei import (
     _slot_ok,
     catalog_cases,
     f2_rank,
+    four_rank_narrow,
     redei_matrix,
 )
 from .tower import cl2_order
@@ -186,7 +186,8 @@ def dmw_family(n: int, m_max: int) -> Iterator[QuadFieldSpec]:
 
     Candidates satisfy q3 = 3 mod 8, q5 = 5 mod 8 prime, and
     q3 + q5 = 4*(2*M^2)^(2^(n-1)) for odd M; each emitted field's
-    2-class structure is verified computationally, not assumed.
+    2-class structure is verified computationally, not assumed.  Two discs
+    give 2-rank 1, so Cl_2 is cyclic and its order decides it.
     """
     if n < 1:
         raise ValueError("n >= 1")
@@ -199,9 +200,7 @@ def dmw_family(n: int, m_max: int) -> Iterator[QuadFieldSpec]:
             if not (is_prime(q3) and is_prime(q5)):
                 continue
             spec = QuadFieldSpec.from_disc_values([-q3, q5])
-            group = wide_class_group(spec.discriminant)
-            two_divs = [d & -d for d in group.elementary_divisors if d % 2 == 0]
-            if two_divs == [2**n]:
+            if cl2_order(spec) == 2**n:
                 yield spec
 
 
@@ -210,6 +209,8 @@ def lopez_family(n: int, m_max: int) -> Iterator[QuadFieldSpec]:
 
     Candidates satisfy q3 = 11 mod 24, q4 = 7 mod 24 prime, and
     q3 + q4 = 2*(3*m^2)^(2^(n-1)) for odd m; verified computationally.
+    Three discs give 2-rank 2, so |Cl_2| = 4 decides n = 1, and for n >= 2
+    the Redei 4-rank 1 with |Cl_2| = 2^(n+1).
     """
     if n < 1:
         raise ValueError("n >= 1")
@@ -222,7 +223,5 @@ def lopez_family(n: int, m_max: int) -> Iterator[QuadFieldSpec]:
             if not (is_prime(q3) and is_prime(q4)):
                 continue
             spec = QuadFieldSpec.from_disc_values([-4, -q3, -q4])
-            group = wide_class_group(spec.discriminant)
-            two_divs = sorted(d & -d for d in group.elementary_divisors if d % 2 == 0)
-            if two_divs == [2, 2**n]:
+            if cl2_order(spec) == 2 ** (n + 1) and (n == 1 or four_rank_narrow(spec) == 1):
                 yield spec

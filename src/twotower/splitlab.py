@@ -25,7 +25,7 @@ from .arith import QuadFieldSpec, is_prime, kronecker, primes_up_to
 from .errors import PreconditionUnmet
 from .quadforms import _table, narrow_class_group, wide_class_group
 from .redei import redei_matrix
-from .tower import _count_in_l, cl2_order
+from .tower import _count_in_l
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,8 @@ def iter_rows(
 ) -> Iterator[ExperimentRow]:
     """Stream one row per prime <= bound coprime to the discriminant."""
     t = _table(f.discriminant)
-    c = cl2_order(f, wide)
+    h = t.h_wide if wide else t.h_plus
+    c = h & -h
     for p, symbols, sym in _symbol_vectors(f.values(), bound):
         info = t.prime_info(p, sym, wide)
         yield ExperimentRow(p, symbols, info.split_type, info.order_2part, _count_in_l(c, info))
@@ -143,7 +144,8 @@ def verify_real_pair(
         raise PreconditionUnmet("need distinct primes l1, l2, both 1 mod 4")
     f = QuadFieldSpec.from_disc_values([l1, l2])
     t = _table(f.discriminant)
-    c = cl2_order(f, wide)
+    h = t.h_wide if wide else t.h_plus
+    c = h & -h
     checked = 0
     violations = []
     for p, symbols, sym in _symbol_vectors(f.values(), bound):

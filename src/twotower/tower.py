@@ -12,6 +12,12 @@ single source of the base-field criteria and their attempt order, and
 _evaluate the one computation of a base field's |Cl_2(F)|, witnesses and
 bound.  analyze, the lemma_* functions and kl_rank_lower_bound run them,
 and so does replay_certificate: it recomputes a certificate and compares.
+
+A base field's discriminant is a QuadFieldSpec's, fundamental by
+construction.  For an imaginary F nothing is factored and no class table
+is built: h is counted once on reduced forms (cached) and each witness's
+order 2-part comes from powering its prime form.  A real F reads both off
+its class table.
 """
 
 from __future__ import annotations
@@ -23,7 +29,13 @@ from math import isqrt
 
 from .arith import QuadFieldSpec, kronecker
 from .errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet
-from .quadforms import PrimeClassInfo, _table, class_number, max_disc_bound, prime_class_info
+from .quadforms import (
+    PrimeClassInfo,
+    _spec_class_number,
+    _spec_prime_info,
+    max_disc_bound,
+    prime_class_info,
+)
 from .redei import CaseId, _classify, _four_rank, redei_matrix, two_ranks
 
 
@@ -43,8 +55,12 @@ def gs_required(unit_2rank: int) -> int:
 
 
 def cl2_order(f: QuadFieldSpec, wide: bool = True) -> int:
-    """|Cl_2(F)| (wide by default), the 2-part of the class number."""
-    h = class_number(f.discriminant, wide)
+    """|Cl_2(F)| (wide by default), the 2-part of the class number.
+
+    For F imaginary h is counted on reduced forms, without a table and
+    without factoring F's discriminant, fundamental by construction.
+    """
+    h = _spec_class_number(f.discriminant, wide)
     return h & -h
 
 
@@ -178,10 +194,9 @@ def _sub_spec(k: QuadFieldSpec, indices) -> QuadFieldSpec:
 
 def _witnesses(f: QuadFieldSpec, c: int, primes) -> tuple[Witness, ...]:
     d = f.discriminant
-    t = _table(d)
     out = []
     for p in primes:
-        info = t.prime_info(p, kronecker(d, p), True)
+        info = _spec_prime_info(d, p, kronecker(d, p))
         out.append(Witness(p, info.split_type, info.order_2part, _count_in_l(c, info)))
     return tuple(out)
 

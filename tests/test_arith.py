@@ -180,6 +180,36 @@ def test_prime_disc_factorization_sweep():
                 hits += 1
 
 
+def test_prime_disc_factorization_factors_once(monkeypatch):
+    # One factor call per d that passes the test mod 4, none for the rest;
+    # find_base_fields adds one more only for each class table it builds.
+    from twotower import arith
+    from twotower.quadforms import _fundamental_table
+    from twotower.search import find_base_fields
+
+    calls = []
+    real_factor = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or real_factor(n))
+    screened = 0
+    for d in range(-3000, 3001):
+        fundamental = is_fundamental(d)
+        screened_d = d != 1 and (d % 4 == 1 or d % 4 == 0 and d // 4 % 4 in (2, 3))
+        calls.clear()
+        try:
+            spec = prime_disc_factorization(d)
+        except NotFundamental:
+            assert not fundamental, d
+        else:
+            assert fundamental and spec.discriminant == d, d
+        assert len(calls) == screened_d, d
+        screened += screened_d and d >= 3
+    calls.clear()
+    _fundamental_table.cache_clear()
+    assert len(find_base_fields("real-pos-pair", 4, 3, 3000)) == 26
+    assert len(calls) == screened + _fundamental_table.cache_info().misses
+    assert len(calls) < 1300  # 2,168 when is_fundamental factored first
+
+
 def test_not_fundamental_rejected():
     for d in (0, 1, -2, -9, 8 * 4, 45, -100):
         if is_fundamental(d):

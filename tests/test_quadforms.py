@@ -1,6 +1,6 @@
 import os
 import random
-from math import isqrt
+from math import isqrt, prod
 
 import pytest
 
@@ -20,6 +20,7 @@ from twotower.errors import (
 from twotower.quadforms import (
     _TABLE_CACHE_SIZE,
     QuadForm,
+    _class_number_neg,
     _cycle,
     _fundamental_table,
     _is_reduced_indef,
@@ -28,6 +29,7 @@ from twotower.quadforms import (
     _reduced_forms_pos,
     _roots_by_leading_coefficient,
     _smallest_prime_factors,
+    _spec_prime_info,
     _table,
     class_number,
     compose,
@@ -464,6 +466,53 @@ def test_leading_coefficient_roots_against_sympy():
             assert set(roots) == want, (d, a)
 
 
+def test_class_number_counts_reduced_forms():
+    # Every fundamental d in [-30000, -3], which includes -3, -4 and forms on
+    # both sides of the band edge 4a^2 = |d| (c = a among them), and 50
+    # seeded d in [-1e8, -1e6]: the count equals the enumeration's length.
+    count = band = square = 0
+    for d in range(-30000, -2):
+        if not is_fundamental(d):
+            continue
+        forms = _reduced_forms_neg(d)
+        assert _class_number_neg(d) == len(forms), d
+        band += any(4 * a * a >= -d for a, _, _ in forms)
+        square += any(a == c for a, _, c in forms)
+        count += 1
+    assert count == 9125 and band > 1000 and square > 100
+    assert _class_number_neg(-3) == _class_number_neg(-4) == 1
+    rng = random.Random(53)
+    hits = 0
+    while hits < 50:
+        d = -rng.randint(10**6, 10**8)
+        if is_fundamental(d):
+            assert _class_number_neg(d) == len(_reduced_forms_neg(d)), d
+            hits += 1
+
+
+def test_reduced_form_walk_matches_table():
+    # Seeded imaginary fields with 2 to 4 discs and every prime p <= 2000:
+    # the table-free path (count and reduced-form walk) gives the
+    # PrimeClassInfo of the table, whose walk runs on class indices.
+    rng = random.Random(59)
+    primes = primes_up_to(2000)
+    for t_discs in (2, 3, 4) * 5:
+        while True:
+            chosen = rng.sample(primes_up_to({2: 400, 3: 120, 4: 60}[t_discs]), t_discs)
+            values = [
+                rng.choice((-4, 8, -8)) if q == 2 else (q if q % 4 == 1 else -q) for q in chosen
+            ]
+            d = prod(values)
+            if d < 0:
+                break
+        t = _table(d)
+        assert class_number(d) == t.h_plus, d
+        for p in primes:
+            sym = kronecker(d, p)
+            info = _spec_prime_info(d, p, sym)
+            assert info == t.prime_info(p, sym, True), (d, p)
+
+
 def test_smallest_prime_factor_table_grows_on_demand():
     import subprocess
     import sys
@@ -642,7 +691,7 @@ def test_bound_and_fundamentality_checks():
     fundamental = [d for d in range(-3, -1000, -1) if is_fundamental(d)]
     assert len(fundamental) > _TABLE_CACHE_SIZE
     for d in fundamental:
-        class_number(d)
+        _table(d)
     assert _fundamental_table.cache_info().currsize <= _TABLE_CACHE_SIZE
 
 
@@ -696,7 +745,7 @@ def test_analytic_class_number_formula():
     # Character-sum oracles fully independent of forms and composition, for
     # D < -4: h(D) = (sum of chi_D over (0, |D|/2)) / (2 - chi_D(2)), and
     # Dirichlet's h(D) = -(1/|D|) sum_{a=1}^{|D|-1} chi_D(a) a, in integers,
-    # against class_number, which reads the table size alone.
+    # against class_number, which counts reduced forms without a table.
     count = 0
     for d in range(-3000, -4):
         if not is_fundamental(d):

@@ -7,6 +7,7 @@ from twotower.arith import (
     PrimeDiscriminant,
     QuadFieldSpec,
     is_fundamental,
+    is_prime,
     prime_disc_factorization,
     primes_up_to,
 )
@@ -197,6 +198,41 @@ def test_lopez_family_verified():
         assert spec.values()[0] == -4
         group = wide_class_group(spec.discriminant)
         assert sorted(d & -d for d in group.elementary_divisors if d % 2 == 0) == [2, 4]
+
+
+def _dmw_reference(n, m_max):
+    """dmw_family as it selected fields from the whole wide class group."""
+    for m in range(1, m_max + 1, 2):
+        total = 4 * (2 * m * m) ** (2 ** (n - 1))
+        for q3 in range(3, total, 8):
+            q5 = total - q3
+            if q5 % 8 == 5 and is_prime(q3) and is_prime(q5):
+                spec = QuadFieldSpec.from_disc_values([-q3, q5])
+                group = wide_class_group(spec.discriminant)
+                if [d & -d for d in group.elementary_divisors if d % 2 == 0] == [2**n]:
+                    yield spec
+
+
+def _lopez_reference(n, m_max):
+    """lopez_family as it selected fields from the whole wide class group."""
+    for m in range(1, m_max + 1, 2):
+        total = 2 * (3 * m * m) ** (2 ** (n - 1))
+        for q3 in range(11, total, 24):
+            q4 = total - q3
+            if q4 > 0 and q4 % 24 == 7 and is_prime(q3) and is_prime(q4):
+                spec = QuadFieldSpec.from_disc_values([-4, -q3, -q4])
+                group = wide_class_group(spec.discriminant)
+                divs = sorted(d & -d for d in group.elementary_divisors if d % 2 == 0)
+                if divs == [2, 2**n]:
+                    yield spec
+
+
+def test_family_predicates_match_group_structure():
+    # The 2-part predicates select the fields the whole group selected.
+    for n, m_max in ((1, 15), (2, 5), (3, 1)):
+        assert list(dmw_family(n, m_max)) == list(_dmw_reference(n, m_max)), n
+    for n, m_max in ((1, 15), (2, 3), (3, 1)):
+        assert list(lopez_family(n, m_max)) == list(_lopez_reference(n, m_max)), n
 
 
 CASE_SEEDS = {

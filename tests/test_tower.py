@@ -12,7 +12,7 @@ from twotower.arith import (
     primes_up_to,
 )
 from twotower.errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet
-from twotower.quadforms import narrow_class_group, wide_class_group
+from twotower.quadforms import _fundamental_table, narrow_class_group, wide_class_group
 from twotower.search import complete_tuple, dmw_family
 from twotower.tower import (
     CRITERIA,
@@ -121,6 +121,20 @@ def test_inert_primes_totally_split_in_l():
         f = QuadFieldSpec.from_discriminant(d)
         assert splitting_count(f, p) == cl2_order(f), (d, p)
         done += 1
+
+
+def test_analyze_imaginary_triples_touch_no_table():
+    # Five negative discs leave only imaginary triples as base fields, and
+    # those are counted and walked on reduced forms: no class table is built
+    # or looked up.
+    k = QuadFieldSpec.from_disc_values([-3, -7, -11, -19, -23])
+    assert {kind for kind, _ in _base_fields(k)} == {"triple"}
+    before = _fundamental_table.cache_info()
+    report = analyze(k)
+    after = _fundamental_table.cache_info()
+    assert (after.hits, after.misses) == (before.hits, before.misses)
+    tried = [d for d in report.diagnostics if d.criterion == "prop32-bound"]
+    assert len(tried) + (report.certificate is not None) == 10
 
 
 def test_kl_rank_lower_bound_example():
