@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache, reduce
-from math import gcd, isqrt
+from functools import lru_cache
+from math import gcd, isqrt, prod
 
 from .errors import FactorizationFailed, NoSolution, NoSquareRoot, NotFundamental
 
@@ -211,20 +211,13 @@ def factorization(n: int) -> dict[int, int]:
     return fac
 
 
-def is_squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorization(n).values())
-
-
 def is_fundamental(d: int) -> bool:
-    """True if d is the discriminant of a quadratic field."""
-    if d in (0, 1):
+    """True if d is the discriminant of a quadratic field; prime_disc_factorization decides."""
+    try:
+        prime_disc_factorization(d)
+    except NotFundamental:
         return False
-    if d % 4 == 1:
-        return is_squarefree(abs(d))
-    if d % 4 == 0:
-        q = d // 4
-        return q % 4 in (2, 3) and is_squarefree(abs(q))
-    return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -281,7 +274,7 @@ class QuadFieldSpec:
 
     @property
     def discriminant(self) -> int:
-        return reduce(lambda x, y: x * y, (d.value for d in self.discs), 1)
+        return prod(d.value for d in self.discs)
 
     @property
     def t(self) -> int:

@@ -18,20 +18,25 @@ subgroup is spanned by the classes x^(h/p^e), its cyclic factors are
 peeled largest first, and the invariant factors multiply the factors of
 equal rank across primes.
 
-class_number is the cheap path.  For D < 0 it counts the reduced forms
+Inputs are checked at the public edge: class_number, narrow_class_group,
+wide_class_group and prime_class_info check the bound, then
+fundamentality, on every call.  The cores _table, _class_number and
+_prime_info trust their callers, which check at least the bound.
+
+_class_number is the cheap path.  For D < 0 it counts the reduced forms
 without listing them (_class_number_neg, an LRU cache of ints): while
 4a^2 < |D| each root of b^2 = D (mod 4a) is one reduced form, so those a
 add a multiplicative root count with one residue test per odd prime, and
 only the band 4a^2 >= |D|, about 13% of the a, is checked form by form.
-A reduced form labels its class, so the tower reaches an imaginary base
-field with no table at all: _spec_class_number counts h and
-_spec_prime_info powers prime forms (_order_2part_neg).  For D > 0
-class_number reads h off the table.  Tables sit in one LRU cache of
-_TABLE_CACHE_SIZE entries.  Each table computes its narrow and wide
-structures on first request and keeps them, and memoizes the order 2-part
-of each class that _ClassTable.prime_info is asked about, narrow and
-wide, so at most 2h of those per table; that walk stays on class indices,
-whose memoized products repeat across the classes of a sweep.
+A reduced form labels its class, so an imaginary field needs no table
+for h or for prime classes: _prime_info powers prime forms
+(_order_2part_neg).  For D > 0 both read the class table.  Tables sit in
+one LRU cache of _TABLE_CACHE_SIZE entries.  Each table computes its
+narrow and wide structures on first request and keeps them, and memoizes
+the order 2-part of each class that _ClassTable.prime_info is asked
+about, narrow and wide, so at most 2h of those per table; that walk stays
+on class indices, whose memoized products repeat across the classes of a
+sweep.
 """
 
 from __future__ import annotations
@@ -83,6 +88,12 @@ def _check_bound(d: int, bound: int | None = None) -> None:
 def _check_fundamental(d: int) -> None:
     if not is_fundamental(d):
         raise NotFundamental(f"{d} is not a fundamental discriminant")
+
+
+def _check(d: int, bound: int | None) -> None:
+    """The public functions' input check: the bound, then fundamentality."""
+    _check_bound(d, bound)
+    _check_fundamental(d)
 
 
 def principal_form(d: int) -> QuadForm:
@@ -510,41 +521,27 @@ _TABLE_CACHE_SIZE = 48
 
 
 @lru_cache(maxsize=_TABLE_CACHE_SIZE)
-def _fundamental_table(d: int) -> _ClassTable:
-    # A NotFundamental d raises here, so it is never cached.
-    _check_fundamental(d)
+def _table(d: int) -> _ClassTable:
+    """The class table of d, unchecked."""
     return _ClassTable(d)
-
-
-def _table(d: int, bound: int | None = None) -> _ClassTable:
-    # The bound is checked on every call; fundamentality (which factors |d|)
-    # only on a miss.
-    _check_bound(d, bound)
-    return _fundamental_table(d)
 
 
 def class_number(d: int, wide: bool = True, bound: int | None = None) -> int:
     """Class number of Q(sqrt(d)), wide by default, without the group structure.
 
-    For d < 0 the reduced forms are counted without a table
-    (_class_number_neg); for d > 0 h is read off the class table.  Raises
-    BoundExceeded and NotFundamental exactly as wide_class_group does.
+    Raises BoundExceeded and NotFundamental exactly as wide_class_group does.
     """
-    _check_bound(d, bound)
+    _check(d, bound)
+    return _class_number(d, wide)
+
+
+def _class_number(d: int, wide: bool) -> int:
+    """class_number, unchecked.  For d < 0 the reduced forms are counted
+    without a table (_class_number_neg); for d > 0 h is read off the table."""
     if d < 0:
-        _check_fundamental(d)
         return _class_number_neg(d)
-    t = _fundamental_table(d)
+    t = _table(d)
     return t.h_wide if wide else t.h_plus
-
-
-def _spec_class_number(d: int, wide: bool = True) -> int:
-    """class_number for a discriminant fundamental by construction (a
-    QuadFieldSpec's): the bound is checked, and for d < 0 nothing is factored."""
-    if d > 0:
-        return class_number(d, wide)
-    _check_bound(d)
-    return _class_number_neg(d)
 
 
 def _order_2part_neg(d: int, h: int, f) -> int:
@@ -696,12 +693,14 @@ def _structure(t: _ClassTable, rep: list[int]):
 
 def narrow_class_group(d: int, bound: int | None = None) -> AbelianGroupStructure:
     """Structure of the narrow class group Cl+(Q(sqrt(d)))."""
-    return _table(d, bound).group(wide=False)
+    _check(d, bound)
+    return _table(d).group(wide=False)
 
 
 def wide_class_group(d: int, bound: int | None = None) -> AbelianGroupStructure:
     """Structure of the wide class group Cl(Q(sqrt(d)))."""
-    return _table(d, bound).group(wide=True)
+    _check(d, bound)
+    return _table(d).group(wide=True)
 
 
 def negative_pell_solvable(d: int) -> bool:
@@ -776,19 +775,19 @@ def prime_class_info(
     ValueError unless p is prime.
     """
     _require_prime(p)
-    sym = kronecker(d, p)
-    return _table(d, bound).prime_info(p, sym, wide)
+    _check(d, bound)
+    return _prime_info(d, p, kronecker(d, p), wide)
 
 
-def _spec_prime_info(d: int, p: int, sym: int) -> PrimeClassInfo:
-    """Wide prime_info for a QuadFieldSpec's discriminant d and sym = (d/p).
+def _prime_info(d: int, p: int, sym: int, wide: bool = True) -> PrimeClassInfo:
+    """prime_class_info for a prime p with sym = (d/p), unchecked.
 
-    For d < 0 no table is built: the prime form is walked by
-    _order_2part_neg with h from _spec_class_number.
+    For d < 0, where narrow equals wide, no table is built: the prime form
+    is walked by _order_2part_neg with h from _class_number_neg.
     """
     if d > 0:
-        return _table(d).prime_info(p, sym, True)
+        return _table(d).prime_info(p, sym, wide)
     if sym == -1:
         return _INERT
-    part = _order_2part_neg(d, _spec_class_number(d), _prime_form(d, p))
+    part = _order_2part_neg(d, _class_number_neg(d), _prime_form(d, p))
     return PrimeClassInfo("split" if sym == 1 else "ramified", part)

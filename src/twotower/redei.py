@@ -89,10 +89,6 @@ class CaseId:
     permutation: tuple[int, ...] = ()
     reason: str = ""
 
-    @property
-    def is_open(self) -> bool:
-        return self.tag != "NotOpen"
-
     def to_json_dict(self) -> dict:
         out = {"tag": self.tag, "permutation": list(self.permutation)}
         if self.reason:

@@ -14,10 +14,10 @@ bound.  analyze, the lemma_* functions and kl_rank_lower_bound run them,
 and so does replay_certificate: it recomputes a certificate and compares.
 
 A base field's discriminant is a QuadFieldSpec's, fundamental by
-construction.  For an imaginary F nothing is factored and no class table
-is built: h is counted once on reduced forms (cached) and each witness's
-order 2-part comes from powering its prime form.  A real F reads both off
-its class table.
+construction, so only its bound is checked and no base field is factored.
+For an imaginary F no class table is built: h is counted once on reduced
+forms (cached) and each witness's order 2-part comes from powering its
+prime form.  A real F reads both off its class table.
 """
 
 from __future__ import annotations
@@ -31,8 +31,9 @@ from .arith import QuadFieldSpec, kronecker
 from .errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet
 from .quadforms import (
     PrimeClassInfo,
-    _spec_class_number,
-    _spec_prime_info,
+    _check_bound,
+    _class_number,
+    _prime_info,
     max_disc_bound,
     prime_class_info,
 )
@@ -57,10 +58,11 @@ def gs_required(unit_2rank: int) -> int:
 def cl2_order(f: QuadFieldSpec, wide: bool = True) -> int:
     """|Cl_2(F)| (wide by default), the 2-part of the class number.
 
-    For F imaginary h is counted on reduced forms, without a table and
-    without factoring F's discriminant, fundamental by construction.
+    F's discriminant is fundamental by construction, so only its bound is
+    checked; for F imaginary h is counted on reduced forms, without a table.
     """
-    h = _spec_class_number(f.discriminant, wide)
+    _check_bound(f.discriminant)
+    h = _class_number(f.discriminant, wide)
     return h & -h
 
 
@@ -196,7 +198,7 @@ def _witnesses(f: QuadFieldSpec, c: int, primes) -> tuple[Witness, ...]:
     d = f.discriminant
     out = []
     for p in primes:
-        info = _spec_prime_info(d, p, kronecker(d, p))
+        info = _prime_info(d, p, kronecker(d, p))
         out.append(Witness(p, info.split_type, info.order_2part, _count_in_l(c, info)))
     return tuple(out)
 

@@ -22,14 +22,13 @@ from twotower.quadforms import (
     QuadForm,
     _class_number_neg,
     _cycle,
-    _fundamental_table,
     _is_reduced_indef,
     _reduce_indef,
     _reduced_forms_neg,
     _reduced_forms_pos,
     _roots_by_leading_coefficient,
+    _prime_info,
     _smallest_prime_factors,
-    _spec_prime_info,
     _table,
     class_number,
     compose,
@@ -509,8 +508,9 @@ def test_reduced_form_walk_matches_table():
         assert class_number(d) == t.h_plus, d
         for p in primes:
             sym = kronecker(d, p)
-            info = _spec_prime_info(d, p, sym)
-            assert info == t.prime_info(p, sym, True), (d, p)
+            for wide in (True, False):
+                info = _prime_info(d, p, sym, wide)
+                assert info == t.prime_info(p, sym, wide), (d, p, wide)
 
 
 def test_smallest_prime_factor_table_grows_on_demand():
@@ -669,30 +669,41 @@ def test_split_primes_are_inverse_pairs():
 
 
 def test_bound_and_fundamentality_checks():
-    with pytest.raises(BoundExceeded):
-        narrow_class_group(-(10**9))
-    with pytest.raises(NotFundamental):
-        narrow_class_group(-9)
-    with pytest.raises(BoundExceeded):
-        narrow_class_group(-11, bound=10)
-    # the bound is rechecked on a cache hit, and class_number raises alike
-    assert _table(-2379).d == -2379
-    with pytest.raises(BoundExceeded):
-        _table(-2379, bound=2000)
-    with pytest.raises(BoundExceeded):
-        class_number(-2379, bound=2000)
-    with pytest.raises(BoundExceeded):
-        class_number(-(10**9))
-    with pytest.raises(NotFundamental):
-        class_number(-9)
-    with pytest.raises(NotFundamental):
-        class_number(45)
+    # Every public function checks the bound, then fundamentality, on every
+    # call, also once the table of d (or of a nearby d) is cached.
+    public = {
+        "class_number": class_number,
+        "narrow_class_group": narrow_class_group,
+        "wide_class_group": wide_class_group,
+        "prime_class_info": lambda d, bound=None: prime_class_info(d, 3, bound=bound),
+    }
+    for d in (-2379, 2379 * 4, -2383):
+        _table(d)
+    for name, fn in public.items():
+        for d in (-9, 45, -2379 * 9, 2379 * 9):
+            with pytest.raises(NotFundamental):
+                fn(d)
+        for d in (-(10**9), 10**9 + 1):
+            with pytest.raises(BoundExceeded):
+                fn(d)
+        for d in (-2379, 2379 * 4, -2383, -11):
+            with pytest.raises(BoundExceeded):
+                fn(d, bound=abs(d) - 1)
+            fn(d, bound=abs(d))
+        with pytest.raises(BoundExceeded):
+            fn(-9, bound=8)  # the bound is checked first
+    # prime_class_info on d < 0 walks reduced forms and builds no table
+    misses = _table.cache_info().misses
+    for d in (-3, -4, -399, -2381 * 4, -3 * 7 * 11 * 13):
+        for p in (2, 3, 5, 7, 13):
+            prime_class_info(d, p)
+    assert _table.cache_info().misses == misses
     # the one table cache stays bounded
     fundamental = [d for d in range(-3, -1000, -1) if is_fundamental(d)]
     assert len(fundamental) > _TABLE_CACHE_SIZE
     for d in fundamental:
         _table(d)
-    assert _fundamental_table.cache_info().currsize <= _TABLE_CACHE_SIZE
+    assert _table.cache_info().currsize <= _TABLE_CACHE_SIZE
 
 
 def test_inverse_and_rank_helpers():

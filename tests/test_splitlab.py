@@ -52,6 +52,24 @@ def test_verify_imag_triple_small():
     assert report2.ok and report2.base_field.values() == (-7, -19, -3)
 
 
+def test_imag_triple_shape_forces_cl2_type():
+    # verify_imag_triple builds no group structure: the Redei shape it
+    # requires forces Cl_2 = C2 x C_(c/2) with c = |Cl_2| >= 8.
+    rng = random.Random(31)
+    primes = [q for q in primes_up_to(200) if q % 4 == 3]
+    found = 0
+    while found < 30:
+        try:
+            report = verify_imag_triple(*rng.sample(primes, 3), 100)
+        except PreconditionUnmet:
+            continue
+        c = cl2_order(report.base_field)
+        group = wide_class_group(report.base_field.discriminant)
+        parts = [e & -e for e in group.elementary_divisors if e % 2 == 0]
+        assert report.ok and c >= 8 and parts == [2, c // 2], (report.base_field, parts)
+        found += 1
+
+
 def test_verify_imag_triple_precondition_unmet():
     # (-3,-7,-11) has Redei rank 2: Cl_2(-231) = C2 x C2
     with pytest.raises(PreconditionUnmet):

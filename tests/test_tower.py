@@ -12,7 +12,7 @@ from twotower.arith import (
     primes_up_to,
 )
 from twotower.errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet
-from twotower.quadforms import _fundamental_table, narrow_class_group, wide_class_group
+from twotower.quadforms import _class_number_neg, _table, narrow_class_group, wide_class_group
 from twotower.search import complete_tuple, dmw_family
 from twotower.tower import (
     CRITERIA,
@@ -129,12 +129,29 @@ def test_analyze_imaginary_triples_touch_no_table():
     # or looked up.
     k = QuadFieldSpec.from_disc_values([-3, -7, -11, -19, -23])
     assert {kind for kind, _ in _base_fields(k)} == {"triple"}
-    before = _fundamental_table.cache_info()
+    before = _table.cache_info()
     report = analyze(k)
-    after = _fundamental_table.cache_info()
+    after = _table.cache_info()
     assert (after.hits, after.misses) == (before.hits, before.misses)
     tried = [d for d in report.diagnostics if d.criterion == "prop32-bound"]
     assert len(tried) + (report.certificate is not None) == 10
+
+
+def test_analyze_factors_no_base_field(monkeypatch):
+    # A base field's discriminant is fundamental by construction: from cold
+    # caches, real base fields get class tables and imaginary ones counts,
+    # but no |d_F| is factored.
+    from twotower import arith
+
+    calls = []
+    real_factor = arith.factor
+    monkeypatch.setattr(arith, "factor", lambda n: calls.append(n) or real_factor(n))
+    for k in (SCHMITHALS, EX36):
+        _table.cache_clear()
+        _class_number_neg.cache_clear()
+        analyze(k)
+        assert _table.cache_info().misses > 0, k
+        assert calls == [], (k, calls)
 
 
 def test_kl_rank_lower_bound_example():
