@@ -3,7 +3,7 @@
 Run: python demos/01_tower_verdicts.py
 """
 
-from twotower import QuadFieldSpec, analyze, replay_certificate
+from twotower import QuadFieldSpec, analyze, base_field_certificate, replay_certificate
 
 
 def show(label, values):
@@ -36,6 +36,15 @@ show("Golod-Shafarevich directly", [-3, -7, -11, -19, -23, +29])
 # The classical three-prime example: a real base field with |Cl_2| = 16
 # and one inert prime certify the infinite tower.
 show("positive-pair base field", [-11, +5, +461])
+
+# The same certificate from one named base field: F = Q(sqrt(5 * 461)) is
+# a positive pair by the signs of its discs, so the pos-pair criteria run.
+schmithals = QuadFieldSpec.from_disc_values([-11, +5, +461])
+cert = base_field_certificate(schmithals, QuadFieldSpec.from_disc_values([5, 461]))
+print(f"== base_field_certificate on F = (5, 461): {cert.criterion}, "
+      f"|Cl_2(F)| = {cert.cl2_order}")
+assert cert == analyze(schmithals).certificate
+print()
 
 # Five ramified primes, 4-rank 0, open matrix 49: every route misses,
 # including the famous 7-vs-8 near miss from F = Q(sqrt(145)).

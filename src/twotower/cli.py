@@ -84,7 +84,7 @@ def _search_json(spec: QuadFieldSpec, case: str | None, cl2: int | None) -> str:
 
 def _cmd_search(args) -> int:
     if args.search_cmd == "complete":
-        partial = [None if tok == "_" else int(tok) for tok in args.partial.split(",")]
+        partial = [None if tok.strip() == "_" else int(tok) for tok in args.partial.split(",")]
         specs = search_mod.complete_tuple(args.case, partial, args.bound, args.count)
         for spec in specs:
             print(_search_json(spec, args.case, None))

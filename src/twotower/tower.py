@@ -10,8 +10,11 @@ fails is recorded as a near-miss diagnostic.
 The table CRITERIA, with the base-field shapes in BASE_KINDS, is the
 single source of the base-field criteria and their attempt order, and
 _evaluate the one computation of a base field's |Cl_2(F)|, witnesses and
-bound.  analyze, the lemma_* functions and kl_rank_lower_bound run them,
-and so does replay_certificate: it recomputes a certificate and compares.
+bound.  A base field is a QuadFieldSpec F throughout: _kind derives its
+shape from its discs' signs, and _checked_base is the one check of F
+against K.  analyze, base_field_certificate and kl_rank_lower_bound run
+them, and so does replay_certificate: it recomputes a certificate and
+compares.
 
 A base field's discriminant is a QuadFieldSpec's, fundamental by
 construction, so only its bound is checked and no base field is factored.
@@ -28,7 +31,7 @@ from dataclasses import dataclass, replace
 from math import isqrt
 
 from .arith import QuadFieldSpec, kronecker
-from .errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet
+from .errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet, TwoTowerError
 from .quadforms import (
     PrimeClassInfo,
     _check_bound,
@@ -190,10 +193,6 @@ class TowerReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
 
 
-def _sub_spec(k: QuadFieldSpec, indices) -> QuadFieldSpec:
-    return QuadFieldSpec(tuple(k.discs[i] for i in indices))
-
-
 def _witnesses(f: QuadFieldSpec, c: int, primes) -> tuple[Witness, ...]:
     d = f.discriminant
     out = []
@@ -216,11 +215,7 @@ class BaseKind:
 
     size: int
     positives: tuple[int, ...]  # admissible counts of positive discs in F
-    sign_rule: str  # why a choice of discs with other signs is refused
     label: str  # prefix of the kind's prop32-bound diagnostic
-
-    def fits(self, values) -> bool:
-        return len(values) == self.size and sum(v > 0 for v in values) in self.positives
 
 
 @dataclass(frozen=True)
@@ -249,16 +244,15 @@ class Criterion:
 
 
 BASE_KINDS = {
-    "triple": BaseKind(
-        3, (0, 2), "chosen discs must have negative product", "triple-16-two-inert"
-    ),
-    "pos-pair": BaseKind(2, (2,), "chosen discs must be positive", "pos-pair"),
-    "mixed-pair": BaseKind(2, (1,), "chosen discs must have opposite sign", "mixed-pair"),
+    "triple": BaseKind(3, (0, 2), "triple-16-two-inert"),
+    "pos-pair": BaseKind(2, (2,), "pos-pair"),
+    "mixed-pair": BaseKind(2, (1,), "mixed-pair"),
 }
 
 # The single source of the base-field criteria.  analyze tries base fields
-# largest first, in index-combination order, and on each one the criteria
-# of its kind in this order; the first that passes gives the certificate.
+# largest first, in combination order of K's discs, and on each one the
+# criteria of its kind in this order; the first that passes gives the
+# certificate.
 CRITERIA = (
     Criterion("triple-16-two-inert", "triple", 16, 2),
     Criterion("pos-pair-8-one-inert", "pos-pair", 8, 1),
@@ -266,6 +260,29 @@ CRITERIA = (
     Criterion("mixed-16-two-inert", "mixed-pair", 16, 2),
     Criterion("mixed-4-one-inert-one-split", "mixed-pair", 4, 1, 1),
 )
+
+
+def _kind(values) -> str | None:
+    """The base kind whose size and signs F's disc values fit; the kinds are disjoint."""
+    positives = sum(v > 0 for v in values)
+    for kind, shape in BASE_KINDS.items():
+        if len(values) == shape.size and positives in shape.positives:
+            return kind
+    return None
+
+
+def _checked_base(k: QuadFieldSpec, f: QuadFieldSpec) -> QuadFieldSpec:
+    """F with its discs in K's order.
+
+    Raises DivisibilityViolation unless F's discs are discs of K that leave
+    at least one prime of K unramified.
+    """
+    discs = tuple(d for d in k.discs if d in f.discs)
+    if len(discs) < f.t:
+        raise DivisibilityViolation("F's prime discriminants must divide K's")
+    if len(discs) == k.t:
+        raise DivisibilityViolation("at least one prime of K must be unramified in F")
+    return QuadFieldSpec(discs)
 
 
 def _evaluate(k: QuadFieldSpec, f: QuadFieldSpec):
@@ -276,9 +293,9 @@ def _evaluate(k: QuadFieldSpec, f: QuadFieldSpec):
     return c, wit, _bound_check(f, c, wit)
 
 
-def _attempt(k: QuadFieldSpec, kind: str, idx, criteria=None):
-    """(certificate of the first criterion F passes or None, diagnostics); default: the kind's."""
-    f = _sub_spec(k, idx)
+def _attempt(k: QuadFieldSpec, f: QuadFieldSpec, criteria=None):
+    """(certificate of the first criterion F passes or None, diagnostics); default: F's kind's."""
+    kind = _kind(f.values())
     c, wit, check = _evaluate(k, f)
     where = f"F={list(f.values())}"
     diags = []
@@ -305,43 +322,20 @@ def _require(cond: bool, msg: str) -> None:
         raise PreconditionUnmet(msg)
 
 
-def _lemma(k: QuadFieldSpec, kind: str, idx) -> Certificate | None:
-    shape = BASE_KINDS[kind]
-    idx = tuple(sorted(idx))
+def base_field_certificate(k: QuadFieldSpec, f: QuadFieldSpec) -> Certificate | None:
+    """Certificate from base field F of K by the criteria of F's kind, if one holds.
+
+    F's kind follows from its discs' signs (see BASE_KINDS).  K must be
+    imaginary and F must fit a kind (else PreconditionUnmet), and F's discs
+    must be discs of K leaving a prime of K unramified (else
+    DivisibilityViolation).  The call is about one field, so an F above the
+    discriminant bound raises BoundExceeded, where analyze records a
+    skipped:bound diagnostic and goes on.
+    """
     _require(k.is_imaginary, "K must be imaginary")
-    _require(
-        len(set(idx)) == len(idx) == shape.size and all(0 <= i < k.t for i in idx),
-        "bad indices",
-    )
-    _require(k.t > shape.size, "at least one prime of K must stay unramified in F")
-    _require(shape.fits([k.discs[i].value for i in idx]), shape.sign_rule)
-    return _attempt(k, kind, idx)[0]
-
-
-def lemma_triple(k: QuadFieldSpec, triple) -> Certificate | None:
-    """Certificate from an imaginary three-disc base field, if the criteria hold.
-
-    Like every lemma_* function this asks about one field, so a base field
-    above the discriminant bound raises BoundExceeded by design, where
-    analyze records a skipped:bound diagnostic and goes on.
-    """
-    return _lemma(k, "triple", triple)
-
-
-def lemma_pos_pair(k: QuadFieldSpec, pair) -> Certificate | None:
-    """Certificate from a real base field on two positive discs, if the criteria hold.
-
-    Raises BoundExceeded by design for a base field above the bound.
-    """
-    return _lemma(k, "pos-pair", pair)
-
-
-def lemma_mixed_pair(k: QuadFieldSpec, pair) -> Certificate | None:
-    """Certificate from an imaginary base field on two opposite-sign discs.
-
-    Raises BoundExceeded by design for a base field above the bound.
-    """
-    return _lemma(k, "mixed-pair", pair)
+    f = _checked_base(k, f)
+    _require(_kind(f.values()) is not None, "F's discs fit no base kind")
+    return _attempt(k, f)[0]
 
 
 def kl_rank_lower_bound(k: QuadFieldSpec, f: QuadFieldSpec) -> int:
@@ -350,24 +344,17 @@ def kl_rank_lower_bound(k: QuadFieldSpec, f: QuadFieldSpec) -> int:
     The call is about the one field F, so an F above the discriminant bound
     raises BoundExceeded by design rather than degrading as analyze does.
     """
-    f_values, k_values = set(f.values()), set(k.values())
-    if not f_values <= k_values:
-        raise DivisibilityViolation("F's prime discriminants must divide K's")
-    if f_values == k_values:
-        raise DivisibilityViolation("at least one prime of K must be unramified in F")
-    return _evaluate(k, f)[2].lhs
+    return _evaluate(k, _checked_base(k, f))[2].lhs
 
 
 def _base_fields(k: QuadFieldSpec):
-    """(kind, indices) of every base field analyze tries, in attempt order."""
+    """Every base field F analyze tries, in attempt order."""
     for size in sorted({shape.size for shape in BASE_KINDS.values()}, reverse=True):
         if k.t <= size:
             continue
-        for idx in itertools.combinations(range(k.t), size):
-            values = [k.discs[i].value for i in idx]
-            for kind, shape in BASE_KINDS.items():
-                if shape.fits(values):
-                    yield kind, idx
+        for discs in itertools.combinations(k.discs, size):
+            if _kind([d.value for d in discs]) is not None:
+                yield QuadFieldSpec(discs)
 
 
 def _gs_certificate(k: QuadFieldSpec) -> Certificate | None:
@@ -402,12 +389,11 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
         diagnostics.append(
             Diagnostic("gs-two-rank", d2, gs_required(1), "direct Golod-Shafarevich on K")
         )
-        for kind, idx in _base_fields(k):
+        for f in _base_fields(k):
             try:
-                cert, diags = _attempt(k, kind, idx)
+                cert, diags = _attempt(k, f)
             except BoundExceeded:
                 # Any other base field's certificate is valid on its own.
-                f = _sub_spec(k, idx)
                 diagnostics.append(
                     Diagnostic(
                         "skipped:bound",
@@ -442,18 +428,22 @@ def _unordered(cert: Certificate) -> Certificate:
 def replay_certificate(cert: Certificate, k: QuadFieldSpec) -> bool:
     """True iff analyze's code, run on K for cert's criterion and base field, rebuilds cert.
 
-    The base discs must be distinct discs of K that fit the criterion's base
-    kind; every other field is recomputed and compared, in any order.
+    The base discs must be discs of K whose kind is the criterion's; every
+    other field is recomputed and compared, in any order.  Base discs that
+    fail the base-field checks or are no ints, or any other package error,
+    give False.
     """
     if not k.is_imaginary:
         return False
-    if cert.criterion == "gs-two-rank":
-        fresh = _gs_certificate(k)
-    else:
-        cr = next((cr for cr in CRITERIA if cr.name == cert.criterion), None)
-        base, values = cert.base_field_discs, k.values()
-        idx = sorted({values.index(v) for v in base if v in values})
-        if cr is None or len(idx) != len(base) or not BASE_KINDS[cr.base_kind].fits(base):
-            return False
-        fresh, _ = _attempt(k, cr.base_kind, idx, [cr])
+    try:
+        if cert.criterion == "gs-two-rank":
+            fresh = _gs_certificate(k)
+        else:
+            f = _checked_base(k, QuadFieldSpec.from_disc_values(cert.base_field_discs))
+            criteria = [cr for cr in CRITERIA if cr.name == cert.criterion]
+            if not criteria or criteria[0].base_kind != _kind(f.values()):
+                return False
+            fresh, _ = _attempt(k, f, criteria)
+    except (TwoTowerError, TypeError):
+        return False
     return fresh is not None and _unordered(fresh) == _unordered(cert)

@@ -100,15 +100,15 @@ def test_classgroup(capsys):
 
 
 def test_search_complete_jsonl(capsys):
-    code, out, _ = run(
-        capsys, "search", "complete", "--case", "B", "--partial=-3,-11,_,-7,-31", "--bound", "200"
-    )
-    assert code == 0
-    lines = [json.loads(line) for line in out.splitlines() if line]
-    assert lines and lines[0]["discs"] == [-3, -11, -107, -7, -31]
+    # Spaces after the commas are accepted, as --discs accepts them.
     validator = make_validator("search_result.schema.json")
-    for line in lines:
-        validator.validate(line)
+    for partial in (["--partial=-3,-11,_,-7,-31"], ["--partial", "-3, -11, _, -7, -31"]):
+        code, out, _ = run(capsys, "search", "complete", "--case", "B", *partial, "--bound", "200")
+        assert code == 0, partial
+        lines = [json.loads(line) for line in out.splitlines() if line]
+        assert lines and lines[0]["discs"] == [-3, -11, -107, -7, -31]
+        for line in lines:
+            validator.validate(line)
 
 
 def test_search_complete_rejects_count_below_one(capsys):

@@ -18,6 +18,7 @@ from twotower.errors import (
     SquareDiscriminant,
 )
 from twotower.quadforms import (
+    _CLASS_NUMBER_CACHE_SIZE,
     _TABLE_CACHE_SIZE,
     QuadForm,
     _class_number_neg,
@@ -698,12 +699,18 @@ def test_bound_and_fundamentality_checks():
         for p in (2, 3, 5, 7, 13):
             prime_class_info(d, p)
     assert _table.cache_info().misses == misses
-    # the one table cache stays bounded
+    # the one table cache and the class-number count's cache stay bounded
     fundamental = [d for d in range(-3, -1000, -1) if is_fundamental(d)]
     assert len(fundamental) > _TABLE_CACHE_SIZE
     for d in fundamental:
         _table(d)
     assert _table.cache_info().currsize <= _TABLE_CACHE_SIZE
+    assert _class_number_neg.cache_info().maxsize == _CLASS_NUMBER_CACHE_SIZE
+    fundamental = [d for d in range(-3, -4000, -1) if is_fundamental(d)]
+    assert len(fundamental) > _CLASS_NUMBER_CACHE_SIZE
+    for d in fundamental:
+        _class_number_neg(d)
+    assert _class_number_neg.cache_info().currsize <= _CLASS_NUMBER_CACHE_SIZE
 
 
 def test_inverse_and_rank_helpers():

@@ -20,14 +20,13 @@ from twotower.tower import (
     ThresholdCheck,
     Witness,
     _base_fields,
+    _kind,
     analyze,
+    base_field_certificate,
     cl2_order,
     gs_infinite,
     gs_required,
     kl_rank_lower_bound,
-    lemma_mixed_pair,
-    lemma_pos_pair,
-    lemma_triple,
     replay_certificate,
     splitting_count,
 )
@@ -35,6 +34,18 @@ from twotower.tower import (
 SCHMITHALS = QuadFieldSpec.from_disc_values([-11, 5, 461])
 EX36 = QuadFieldSpec.from_disc_values([-7, -3, -8, 29, 5])
 F45 = QuadFieldSpec.from_disc_values([29, 5])
+
+
+def test_public_names_resolve():
+    # Every name in twotower.__all__ exists, so `from twotower import *`
+    # works, and the list stays sorted.
+    import twotower
+
+    names = {}
+    exec("from twotower import *", names)
+    assert all(name in names for name in twotower.__all__)
+    assert twotower.__all__ == sorted(set(twotower.__all__))
+    assert "base_field_certificate" in names
 
 
 def test_gs_examples():
@@ -128,7 +139,7 @@ def test_analyze_imaginary_triples_touch_no_table():
     # those are counted and walked on reduced forms: no class table is built
     # or looked up.
     k = QuadFieldSpec.from_disc_values([-3, -7, -11, -19, -23])
-    assert {kind for kind, _ in _base_fields(k)} == {"triple"}
+    assert {_kind(f.values()) for f in _base_fields(k)} == {"triple"}
     before = _table.cache_info()
     report = analyze(k)
     after = _table.cache_info()
@@ -156,6 +167,7 @@ def test_analyze_factors_no_base_field(monkeypatch):
 
 def test_kl_rank_lower_bound_example():
     assert kl_rank_lower_bound(EX36, F45) == 7
+    assert kl_rank_lower_bound(EX36, F45.reordered((1, 0))) == 7
     assert gs_required(2 * cl2_order(F45)) == 8
     with pytest.raises(DivisibilityViolation):
         kl_rank_lower_bound(EX36, EX36)  # m = 0
@@ -168,25 +180,32 @@ def test_out_of_bound_base_field_raises_when_given():
     # that are handed one F still raise
     k = QuadFieldSpec.from_disc_values([-3, 5, 13, 100000037])
     with pytest.raises(BoundExceeded):
-        lemma_triple(k, (0, 1, 3))
+        base_field_certificate(k, QuadFieldSpec.from_disc_values([-3, 5, 100000037]))
     with pytest.raises(BoundExceeded):
         kl_rank_lower_bound(k, QuadFieldSpec.from_disc_values([5, 100000037]))
 
 
 def test_lemma_preconditions():
+    def base(*values):
+        return QuadFieldSpec.from_disc_values(values)
+
     with pytest.raises(PreconditionUnmet):
-        lemma_triple(EX36, (0, 1, 3))  # (-7)(-3)(29) > 0
+        base_field_certificate(EX36, base(-7, -3, 29))  # (-7)(-3)(29) > 0
     with pytest.raises(PreconditionUnmet):
-        lemma_pos_pair(EX36, (0, 1))  # negative discs
+        base_field_certificate(EX36, base(-7, -3))  # two negative discs
     with pytest.raises(PreconditionUnmet):
-        lemma_mixed_pair(EX36, (3, 4))  # both positive
+        base_field_certificate(EX36, base(-7))  # no kind has one disc
     with pytest.raises(PreconditionUnmet):
-        lemma_pos_pair(QuadFieldSpec.from_disc_values([5, 29]), (0, 1))  # not imaginary
+        base_field_certificate(base(5, 29), base(5))  # not imaginary
+    with pytest.raises(DivisibilityViolation):
+        base_field_certificate(EX36, base(-7, -3, 13))  # 13 is no disc of K
+    with pytest.raises(DivisibilityViolation):
+        base_field_certificate(SCHMITHALS, SCHMITHALS)  # no prime of K left unramified
 
 
 def test_schmithals_pos_pair():
-    cert = lemma_pos_pair(SCHMITHALS, (1, 2))
-    assert cert is not None
+    cert = base_field_certificate(SCHMITHALS, QuadFieldSpec.from_disc_values([461, 5]))
+    assert cert is not None and cert.base_field_discs == (5, 461)
     assert cert.criterion == "pos-pair-8-one-inert"
     assert cert.cl2_order == 16
     assert cert.witnesses[0].prime == 11 and cert.witnesses[0].split_type == "inert"
@@ -194,13 +213,14 @@ def test_schmithals_pos_pair():
 
 
 def test_example36_pos_pair_fails():
-    assert lemma_pos_pair(EX36, (3, 4)) is None
-    assert lemma_triple(EX36, (0, 1, 2)) is None  # |Cl2(-168)| = 4 < 16
+    assert base_field_certificate(EX36, F45) is None
+    # |Cl2(-168)| = 4 < 16
+    assert base_field_certificate(EX36, QuadFieldSpec.from_disc_values([-7, -3, -8])) is None
 
 
 def test_triple_certificate_on_matrix_a_field():
     k = complete_tuple("A", [None, None, -7, -19, -3], 500, count=1)[0]
-    cert = lemma_triple(k, (2, 3, 4))
+    cert = base_field_certificate(k, k.reordered((2, 3, 4)))
     assert cert is not None and cert.criterion == "triple-16-two-inert"
     assert cert.cl2_order == 16
     assert all(w.split_type == "inert" for w in cert.witnesses)
@@ -216,7 +236,7 @@ def test_mixed_pair_16_on_matrix_32_field():
     assert cl2_order(f) == 16
     values = f.values()  # (-q3, +q5)
     k = complete_tuple("M32", [None, None, values[0], None, values[1]], 400, count=1)[0]
-    cert = lemma_mixed_pair(k, (2, 4))
+    cert = base_field_certificate(k, f)
     assert cert is not None and cert.criterion == "mixed-16-two-inert"
     assert replay_certificate(cert, k)
     assert analyze(k).verdict == "InfiniteProven"
@@ -232,7 +252,7 @@ def test_mixed_pair_split_route_on_matrix_16_field():
     info = prime_class_info(-39, 43)
     assert info.split_type == "split" and info.order_2part == 1
     k = complete_tuple("M16", [-43, None, -3, None, 13], 400, count=1)[0]
-    cert = lemma_mixed_pair(k, (2, 4))
+    cert = base_field_certificate(k, f)
     assert cert is not None and cert.criterion == "mixed-4-one-inert-one-split"
     assert replay_certificate(cert, k)
 
@@ -331,35 +351,40 @@ def test_analyze_fuzz_replay_and_serialize():
         assert rep.to_json()  # serializes
 
 
-LEMMAS = {"triple": lemma_triple, "pos-pair": lemma_pos_pair, "mixed-pair": lemma_mixed_pair}
-
-
 def test_one_evaluator_for_analyze_lemmas_and_kl_bound():
-    # analyze, kl_rank_lower_bound and the lemma_* functions evaluate a base
+    # analyze, kl_rank_lower_bound and base_field_certificate evaluate a base
     # field the same way: the bound analyze records for every F it tries is
-    # kl_rank_lower_bound(K, F), and the lemma of F's kind gives analyze's
-    # certificate on its base field.
-    certified = 0
+    # kl_rank_lower_bound(K, F), and base_field_certificate(K, F) gives
+    # analyze's certificate on its base field, the criterion of an
+    # also-passes record on another, and None on every other F.
+    certified = also = 0
     for k in _fuzz_fields():
         report = analyze(k)
         cert = report.certificate
-        recorded = {}
+        recorded, passes = {}, {}
         if cert is not None:
             recorded[cert.base_field_discs] = cert.threshold_check.lhs
         for d in report.diagnostics:
             assert d.criterion != "skipped:bound", d
             if d.criterion == "prop32-bound" or d.criterion.startswith("also-passes:"):
-                where = d.detail.split("F=")[1].split("]")[0] + "]"
-                recorded[tuple(json.loads(where))] = d.achieved
+                where = tuple(json.loads(d.detail.split("F=")[1].split("]")[0] + "]"))
+                recorded[where] = d.achieved
+                if d.criterion.startswith("also-passes:"):
+                    passes[where] = d.criterion.split(":", 1)[1]
         tried = list(_base_fields(k))
         assert len(recorded) == len(tried), k
-        for kind, idx in tried:
-            f = QuadFieldSpec(tuple(k.discs[i] for i in idx))
+        for f in tried:
             assert kl_rank_lower_bound(k, f) == recorded[f.values()], (k, f)
+            got = base_field_certificate(k, f.reordered(range(f.t - 1, -1, -1)))
             if cert is not None and cert.base_field_discs == f.values():
-                assert LEMMAS[kind](k, idx) == cert, k
+                assert got == cert, k
                 certified += 1
-    assert certified > 0
+            elif f.values() in passes:
+                assert got.criterion == passes[f.values()], (k, f)
+                also += 1
+            else:
+                assert got is None, (k, f)
+    assert certified > 0 and also > 0
 
 
 @pytest.fixture(scope="module")
@@ -371,11 +396,14 @@ def genuine_certificates():
     m16 = complete_tuple("M16", [-43, None, -3, None, 13], 400, count=1)[0]
     pos4 = QuadFieldSpec.from_disc_values([8, 89, -3, 5, 41])  # from _fuzz_fields
     pairs = [
-        (a, lemma_triple(a, (2, 3, 4))),
-        (SCHMITHALS, lemma_pos_pair(SCHMITHALS, (1, 2))),
-        (pos4, lemma_pos_pair(pos4, (0, 4))),
-        (m32, lemma_mixed_pair(m32, (2, 4))),
-        (m16, lemma_mixed_pair(m16, (2, 4))),
+        (k, base_field_certificate(k, k.reordered(idx)))
+        for k, idx in [
+            (a, (2, 3, 4)),
+            (SCHMITHALS, (1, 2)),
+            (pos4, (0, 4)),
+            (m32, (2, 4)),
+            (m16, (2, 4)),
+        ]
     ]
     assert [cert.criterion for _, cert in pairs] == [cr.name for cr in CRITERIA]
     return pairs
@@ -464,8 +492,14 @@ def test_replay_rejects_forged_two_rank_certificates():
 
 
 def test_replay_of_base_discs_outside_k_is_false():
+    # 9, 1, 0, "5" and None are no prime discriminants, 13 is no disc of K,
+    # and the base K leaves no prime of K unramified: all give False, none
+    # raises.
     cert = analyze(SCHMITHALS).certificate
-    for base in ((5, 9), (5, 5), (5,), (5, 461, 461)):
+    for base in (
+        (5, 9), (5, 5), (5,), (5, 461, 461), (5, 1), (0, 461), ("5", 461), (None, 461),
+        (5, 13), (-11, 5, 461),
+    ):
         assert not replay_certificate(dataclasses.replace(cert, base_field_discs=base), SCHMITHALS)
 
 
