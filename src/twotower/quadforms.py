@@ -6,17 +6,20 @@ quotient by the class of a form representing -1 (a trivial quotient for
 D < 0, and for D > 0 exactly when x^2 - D y^2 = -4 is solvable).
 
 Reduced forms are enumerated by leading coefficient: for each a up to
-sqrt(|D|/3) (D < 0) or sqrt(D) (D > 0), the b with b^2 = D (mod 4a) come
-from the square roots of D modulo 4a, built multiplicatively from roots
-modulo prime powers (Hensel lifting, CRT, a shared smallest-prime-factor
-table), and the reduction inequalities keep at most one b per root.  That
-costs O(sqrt|D| * 2^omega) steps, omega the number of prime factors of a,
-instead of the O(|D|) of looping over b and dividing (b^2 - D)/4.
-Indefinite forms are then partitioned into reduction cycles.  The group
-structure is built one Sylow subgroup at a time: for p^e || h the p-Sylow
-subgroup is spanned by the classes x^(h/p^e), its cyclic factors are
-peeled largest first, and the invariant factors multiply the factors of
-equal rank across primes.
+sqrt(|D|/3) (D < 0) or isqrt(D) // 2 (D > 0), the b with b^2 = D (mod 4a)
+come from the square roots of D modulo 4a, built multiplicatively from
+roots modulo prime powers (Hensel lifting, CRT, a shared
+smallest-prime-factor table), and the reduction inequalities keep at most
+one b per root.  That costs O(sqrt|D| * 2^omega) steps, omega the number
+of prime factors of a, instead of the O(|D|) of looping over b and
+dividing (b^2 - D)/4.  For D > 0 the forms (a, b, c), (c, ...) that follow
+each other on a reduction cycle have |ac| = (D - b^2)/4 < D/4, so every
+cycle holds a form with |a| <= isqrt(D) // 2, and the cycles are walked
+from those forms alone (Buchmann and Vollmer, Binary Quadratic Forms,
+ch. 6).  The group structure is built one Sylow subgroup at a time: for
+p^e || h the p-Sylow subgroup is spanned by the classes x^(h/p^e), its
+cyclic factors are peeled largest first, and the invariant factors
+multiply the factors of equal rank across primes.
 
 Inputs are checked at the public edge: class_number, narrow_class_group,
 wide_class_group and prime_class_info check the bound, then
@@ -306,17 +309,24 @@ def _roots_by_leading_coefficient(d: int, top: int):
             yield a, _crt(roots_2k, 2 << k, roots_m, m)
 
 
-def _odd_roots(d: int, m: int, spf: Sequence[int]) -> list[int]:
-    """Square roots of d modulo an odd m, joined by CRT over m's prime powers."""
+def _odd_roots(d: int, m: int, spf: Sequence[int], memo: dict[int, list[int]]) -> list[int]:
+    """Square roots of d modulo an odd m, joined by CRT over m's prime powers.
+
+    memo keeps the roots modulo each prime power, for reuse with the same d.
+    """
     roots, mod = [0], 1
     while m > 1:
         p = pe = spf[m]
-        lower = _prime_power_roots(d, p, p, [])
+        if p not in memo:
+            memo[p] = _prime_power_roots(d, p, p, [])
+        lower = memo[p]
         m //= p
         while m % p == 0:
             pe *= p
             m //= p
-            lower = _prime_power_roots(d, p, pe, lower)
+            if pe not in memo:
+                memo[pe] = _prime_power_roots(d, p, pe, lower)
+            lower = memo[pe]
         roots = _crt(roots, mod, lower, pe)
         mod *= pe
     return roots
@@ -357,13 +367,14 @@ def _class_number_neg(d: int) -> int:
         elif d % p:
             rho[m] = rho[q]
     odd_sums = list(accumulate(rho))
+    memo: dict[int, list[int]] = {}
     h = sum(len(roots) * odd_sums[low >> k] for k, roots in enumerate(two))
     for a in range(low + 1, top + 1):
         k = (a & -a).bit_length() - 1
         m = a >> k
         if k >= len(two) or not rho[m]:
             continue
-        for r in _crt(two[k], 2 << k, _odd_roots(d, m, spf), m):
+        for r in _crt(two[k], 2 << k, _odd_roots(d, m, spf, memo), m):
             b = r - 2 * a if r > a else r
             c = (b * b - d) // (4 * a)
             if c > a or (c == a and b >= 0):
@@ -386,22 +397,34 @@ def _reduced_forms_neg(d: int) -> list[tuple[int, int, int]]:
     return out
 
 
-def _reduced_forms_pos(d: int) -> list[tuple[int, int, int]]:
-    """All reduced forms of fundamental d > 0, both leading signs."""
-    out = []
+def _real_cycles(d: int) -> tuple[dict[tuple[int, int, int], int], list[tuple[int, int, int]]]:
+    """index and reps of fundamental d > 0: every reduced form to its class,
+    and each class's least form with a > 0.
+
+    Each reduction cycle is walked once, from the first of its forms met with
+    |a| <= isqrt(d) // 2 (module docstring).  For such a every b with
+    s - 2a < b <= s is reduced, so each root of b^2 = d (mod 4a) gives one b.
+    Classes are numbered by their least form, as ascending forms meet them.
+    """
     s = isqrt(d)
-    for a, roots in _roots_by_leading_coefficient(d, s):
-        # Reduced: |sqrt(d) - 2a| < b < sqrt(d), so b runs over an interval
-        # of length at most 2a and each residue r gives at most one b.
-        lo = max(1, s - 2 * a + 1, 2 * a - s)
+    index: dict[tuple[int, int, int], int] = {}
+    least, reps = [], []
+    for a, roots in _roots_by_leading_coefficient(d, s // 2):
+        lo = s - 2 * a + 1
         for r in roots:
             b = lo + (r - lo) % (2 * a)
-            if b <= s:
-                c = (b * b - d) // (4 * a)
-                out.append((a, b, c))
-                out.append((-a, b, -c))
-    out.sort()
-    return out
+            c = (b * b - d) // (4 * a)
+            for f in ((a, b, c), (-a, b, -c)):
+                if f in index:
+                    continue
+                cyc = _cycle(f, d)
+                for g in cyc:
+                    index[g] = len(least)
+                least.append(min(cyc))
+                reps.append(min(g for g in cyc if g[0] > 0))
+    order = sorted(range(len(least)), key=least.__getitem__)
+    rank = {k: i for i, k in enumerate(order)}
+    return {f: rank[k] for f, k in index.items()}, [reps[k] for k in order]
 
 
 class _ClassTable:
@@ -409,22 +432,11 @@ class _ClassTable:
 
     def __init__(self, d: int):
         self.d = d
-        self.index: dict[tuple[int, int, int], int] = {}
-        self.reps: list[tuple[int, int, int]] = []
         if d < 0:
-            for i, f in enumerate(_reduced_forms_neg(d)):
-                self.index[f] = i
-                self.reps.append(f)
+            self.reps = _reduced_forms_neg(d)
+            self.index = {f: i for i, f in enumerate(self.reps)}
         else:
-            for f in _reduced_forms_pos(d):
-                if f in self.index:
-                    continue
-                cyc = _cycle(f, d)
-                rep = min(g for g in cyc if g[0] > 0)
-                i = len(self.reps)
-                self.reps.append(rep)
-                for g in cyc:
-                    self.index[g] = i
+            self.index, self.reps = _real_cycles(d)
         self.h_plus = len(self.reps)
         self.principal = self.class_index(principal_form(d))
         if d > 0:
@@ -638,7 +650,7 @@ def _sylow_factors(t: _ClassTable, rep: list[int], elements: list[int], p: int, 
     members = sorted(sylow)
     factors: list[tuple[int, int]] = []
     subgroup = {identity}
-    while len(subgroup) < len(sylow):
+    while True:
         # No order modulo subgroup exceeds the previous factor or the index.
         top = len(sylow) // len(subgroup)
         if factors:
@@ -658,6 +670,8 @@ def _sylow_factors(t: _ClassTable, rep: list[int], elements: list[int], p: int, 
             adj = min(z for z in subgroup if rep[t.pow(z, best)] == tgt)
             pick = rep[t.mul(pick, t.inv(adj))]
         factors.append((best, pick))
+        if len(subgroup) * best == pe:
+            break  # the factors fill the subgroup: no span after the last
         subgroup = _span(t, rep, subgroup, pick)
     return factors
 

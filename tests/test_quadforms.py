@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 from math import isqrt, prod
@@ -26,7 +27,6 @@ from twotower.quadforms import (
     _is_reduced_indef,
     _reduce_indef,
     _reduced_forms_neg,
-    _reduced_forms_pos,
     _roots_by_leading_coefficient,
     _prime_info,
     _smallest_prime_factors,
@@ -72,7 +72,7 @@ def test_reduce_indefinite_canonical_and_cycle():
     f = QuadForm(3, 4, -2)
     assert f.discriminant == 40
     red = reduce_form(f)
-    all_forms = _reduced_forms_pos(40)
+    all_forms = sorted(_table(40).index)
     assert tuple(red) in all_forms
     # canonical representative is on f's own cycle
     cyc = _cycle(_reduce_indef(3, 4, -2, 40), 40)
@@ -419,22 +419,41 @@ def _reference_forms_pos(d):
     return out
 
 
-def _enumerate(d):
-    return _reduced_forms_neg(d) if d < 0 else _reduced_forms_pos(d)
+def _reference_partition(d):
+    """The b-loop forms of d > 0 split into reduction cycles, classes numbered
+    as the forms ascend, each represented by its least form with a > 0."""
+    index, reps = {}, []
+    for f in _reference_forms_pos(d):
+        if f not in index:
+            cyc = _cycle(f, d)
+            index.update(dict.fromkeys(cyc, len(reps)))
+            reps.append(min(g for g in cyc if g[0] > 0))
+    return index, reps
 
 
-def _reference(d):
-    return _reference_forms_neg(d) if d < 0 else _reference_forms_pos(d)
-
-
-def _seeded_fundamentals(seed, lo, hi, count):
+def _seeded_fundamentals(seed, lo, hi, count, signs=(-1, 1)):
     rng = random.Random(seed)
     out = []
     while len(out) < count:
-        d = rng.choice((-1, 1)) * rng.randint(lo, hi)
+        d = rng.choice(signs) * rng.randint(lo, hi)
         if is_fundamental(d):
             out.append(d)
     return out
+
+
+# Real discriminants whose tables are checked against the b-loop partition
+# and whose group structures are pinned.
+SEEDED_REAL = _seeded_fundamentals(67, 10**7, 10**8, 6, signs=(1,))
+
+
+def _check_against_reference(d):
+    if d < 0:
+        assert _reduced_forms_neg(d) == _reference_forms_neg(d), d
+        return
+    t = _table(d)
+    index, reps = _reference_partition(d)
+    # Equal dicts: the same reduced forms, each in the same class.
+    assert t.index == index and t.reps == reps, d
 
 
 def test_enumeration_matches_b_loop_reference():
@@ -442,11 +461,48 @@ def test_enumeration_matches_b_loop_reference():
     for absd in range(3, 20001):
         for d in (-absd, absd):
             if is_fundamental(d):
-                assert _enumerate(d) == _reference(d), d
+                _check_against_reference(d)
                 count += 1
     assert count == 12160
-    for d in _seeded_fundamentals(41, 10**7, 10**8, 6):
-        assert _enumerate(d) == _reference(d), d
+    for d in _seeded_fundamentals(41, 10**7, 10**8, 6) + SEEDED_REAL:
+        _check_against_reference(d)
+
+
+def test_every_real_class_has_a_small_leading_coefficient():
+    # Forms (a, b, c), (c, ...) next to each other on a reduction cycle have
+    # |ac| < d/4, so every class holds a form with |a| <= isqrt(d) // 2: the
+    # only leading coefficients the table starts its walks from.  That the
+    # table misses no class is the b-loop test above; here some class needs
+    # the bound with equality, so it cannot be lowered.
+    tight = 0
+    for d in range(5, 20001):
+        if not is_fundamental(d):
+            continue
+        t = _table(d)
+        least = [d] * t.h_plus
+        for (a, _, _), i in t.index.items():
+            least[i] = min(least[i], abs(a))
+        top = isqrt(d) // 2
+        assert max(least) <= top, d
+        tight += max(least) == top
+    assert tight > 0
+
+
+# SHA-256 of the structures below as the table built from every reduced
+# form, sorted, gave them.
+PINNED_STRUCTURES = "f846d4ea89224cd6bac4a5eaf772decad9eb17a984dc30f41cf679c65fd4f53d"
+
+
+def test_group_structures_pinned():
+    # Divisors, orders and generators of both groups, over |d| <= 2000 of
+    # both signs and the seeded real d.
+    ds = [s * a for a in range(3, 2001) for s in (-1, 1) if is_fundamental(s * a)]
+    digest = hashlib.sha256()
+    for d in ds + SEEDED_REAL:
+        for g in (narrow_class_group(d), wide_class_group(d)):
+            gens = [tuple(f) for f in g.generators]
+            digest.update(f"{d} {g.elementary_divisors} {g.order} {gens}\n".encode())
+    assert digest.hexdigest() == PINNED_STRUCTURES
 
 
 def test_leading_coefficient_roots_against_sympy():
@@ -553,7 +609,7 @@ def test_indefinite_enumeration_against_brute_force():
         return sorted(out)
 
     for d in (5, 8, 12, 13, 40, 60, 145, 229, 904, 1596, 2305, 3624):
-        assert _reduced_forms_pos(d) == brute(d), d
+        assert sorted(_table(d).index) == brute(d), d
 
 
 def test_negative_pell():
