@@ -2,14 +2,17 @@
 
 The classification catalog (catalog.txt) lists the open 5x5 matrix cases
 for imaginary quadratic fields with five ramified primes, in the
-numbering of Sueyoshi's and Benjamin's casework; a field is classified by
-backtracking over assignments of its prime discriminants to catalog slots,
-checking sign codes and fixed entries as each slot is filled.
+numbering of Sueyoshi's and Benjamin's casework.  That casework reads
+only the sign codes of a field's discs, in order, and its Redei entries, so
+classification is a cached function of (sign codes, entries).  It
+backtracks over assignments of the discs to catalog slots, checking sign
+codes and fixed entries as each slot is filled, once per pair it meets.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import lru_cache
 from importlib import resources
 
 from .arith import PrimeDiscriminant, QuadFieldSpec, kronecker
@@ -17,7 +20,7 @@ from .arith import PrimeDiscriminant, QuadFieldSpec, kronecker
 
 @dataclass(frozen=True)
 class RedeiMatrix:
-    """Additive Redei matrix: (-1)^a_ij = (p_i*/p_j), diagonal fixed by zero row sums."""
+    """Additive Redei matrix: (-1)^a_ij = (p_i*/p_j), diagonal fixed by zero column sums."""
 
     entries: tuple[tuple[int, ...], ...]
     labels: tuple[PrimeDiscriminant, ...]
@@ -30,6 +33,15 @@ class RedeiMatrix:
         return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
 
+# Sized from the distinct keys met in 20 s benchmark runs.  complete_tuple
+# at bound 300 on every open case meets 174 cases and 2,609 entries in all,
+# which these hold with room; analyze on seeded fields meets about 0.55 and
+# 1.8 new ones per field, a set no fixed size holds.
+_CASE_CACHE_SIZE = 1024
+_ENTRY_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=_ENTRY_CACHE_SIZE)
 def _entry(value: int, prime: int) -> int:
     """The F2 Redei entry of the symbol (value/prime): 0 when it is 1, else 1."""
     return 0 if kronecker(value, prime) == 1 else 1
@@ -38,25 +50,27 @@ def _entry(value: int, prime: int) -> int:
 def redei_matrix(spec: QuadFieldSpec) -> RedeiMatrix:
     """Redei matrix of the field, rows/columns in the spec's disc order.
 
-    Off-diagonal a_ij encodes (p_i*/p_j); the diagonal encodes the
-    cofactor symbol ((Delta/p_i*)/p_i), which by multiplicativity equals
-    the column sum of the off-diagonal entries, so column sums vanish.
+    Off-diagonal a_ij encodes (p_i*/p_j); the diagonal a_jj encodes the
+    cofactor symbol ((Delta/p_j*)/p_j), which by multiplicativity equals
+    the sum of column j's off-diagonal entries, so it is read off that sum
+    and column sums vanish.
     """
     discs = spec.discs
-    delta = spec.discriminant
-    rows = []
-    for i, di in enumerate(discs):
-        top = delta // di.value
-        row = [_entry(top if i == j else di.value, dj.prime) for j, dj in enumerate(discs)]
-        rows.append(tuple(row))
-    return RedeiMatrix(tuple(rows), discs)
+    rows = [
+        [0 if i == j else _entry(di.value, dj.prime) for j, dj in enumerate(discs)]
+        for i, di in enumerate(discs)
+    ]
+    for j, row in enumerate(rows):
+        row[j] = sum(r[j] for r in rows) % 2
+    return RedeiMatrix(tuple(map(tuple, rows)), discs)
 
 
-def f2_rank(m: RedeiMatrix) -> int:
-    """Rank over F2 by Gaussian elimination on row bitmasks."""
-    rows = [sum(bit << k for k, bit in enumerate(row)) for row in m.entries]
+def f2_rank(entries: tuple[tuple[int, ...], ...]) -> int:
+    """Rank over F2 of a square matrix's rows, such as RedeiMatrix.entries,
+    by Gaussian elimination on row bitmasks."""
+    rows = [sum(bit << k for k, bit in enumerate(row)) for row in entries]
     rank = 0
-    for k in range(m.t):
+    for k in range(len(entries)):
         pivot = next((r for r in rows if r >> k & 1), None)
         if pivot is None:
             continue
@@ -65,13 +79,13 @@ def f2_rank(m: RedeiMatrix) -> int:
     return rank
 
 
-def _four_rank(m: RedeiMatrix) -> int:
-    return m.t - 1 - f2_rank(m)
+def _four_rank(entries: tuple[tuple[int, ...], ...]) -> int:
+    return len(entries) - 1 - f2_rank(entries)
 
 
 def four_rank_narrow(spec: QuadFieldSpec) -> int:
     """d4 of the narrow class group, via the Redei-Reichardt rank formula."""
-    return _four_rank(redei_matrix(spec))
+    return _four_rank(redei_matrix(spec).entries)
 
 
 def two_ranks(spec: QuadFieldSpec) -> tuple[int, int]:
@@ -106,21 +120,34 @@ class CatalogCase:
 
 
 def _parse_catalog(text: str) -> tuple[CatalogCase, ...]:
+    """The catalog's blocks; ValueError on a stray line or a malformed block."""
     cases = []
     block: dict = {}
 
     def flush():
         if not block:
             return
-        cases.append(
-            CatalogCase(
-                tag=block["case"],
-                status=block.get("status", "open"),
-                signs=tuple(block["signs"]),
-                fixed=tuple(tuple(block["rows"][i]) for i in range(len(block["rows"]))),
-                note=block.get("note", ""),
+        tag, signs, rows = block["case"], block.get("signs", ()), block["rows"]
+        if not (
+            len(signs) == 5
+            and set(signs) <= set("4-+")
+            and len(rows) == 5
+            and all(len(row) == 5 for row in rows)
+            and all(
+                tok == "-" if i == j else tok in ("*", "0", "1")
+                for i, row in enumerate(rows)
+                for j, tok in enumerate(row)
             )
-        )
+            and block.get("status") in ("open", "resolved")
+            and all(c.tag != tag for c in cases)
+        ):
+            raise ValueError(
+                f"catalog block {tag!r} needs five sign codes from 4 - +, five rows of"
+                " five 0 1 * entries with - on the diagonal only, status open or"
+                " resolved, and a tag of its own"
+            )
+        fixed = tuple(tuple(None if tok in "-*" else int(tok) for tok in row) for row in rows)
+        cases.append(CatalogCase(tag, block["status"], tuple(signs), fixed, block.get("note", "")))
         block.clear()
 
     for raw in text.splitlines():
@@ -133,13 +160,14 @@ def _parse_catalog(text: str) -> tuple[CatalogCase, ...]:
             flush()
             block["case"] = rest
             block["rows"] = []
+        elif not block:
+            raise ValueError(f"catalog line before any case: {raw!r}")
         elif key in ("status", "note"):
             block[key] = rest
         elif key == "signs":
             block["signs"] = rest.split()
         elif key == "row":
-            row = [None if tok in ("-", "*") else int(tok) for tok in rest.split()]
-            block["rows"].append(row)
+            block["rows"].append(rest.split())
         else:
             raise ValueError(f"unknown catalog line: {raw!r}")
     flush()
@@ -160,14 +188,9 @@ def catalog_cases() -> tuple[CatalogCase, ...]:
     return _CATALOG
 
 
-def _slot_ok(code: str, d: PrimeDiscriminant) -> bool:
-    if code == "4":
-        return d.value == -4
-    if code == "-":
-        return d.value < 0 and d.value != -4
-    if code == "+":
-        return d.value > 0
-    raise ValueError(f"bad sign code {code}")
+def _code(d: PrimeDiscriminant) -> str:
+    """d's catalog sign code: '4' for -4, '-' for other negatives, '+' for positives."""
+    return "4" if d.value == -4 else "-" if d.value < 0 else "+"
 
 
 def _agrees(fixed, a, perm: list[int], k: int) -> bool:
@@ -197,17 +220,13 @@ def _fill(fixed, slots, a, perm: list[int]) -> bool:
     return False
 
 
-def _sign_slots(discs) -> dict[str, list[int]]:
-    """For each sign code, the ascending indices of the discs it admits."""
-    return {code: [i for i, d in enumerate(discs) if _slot_ok(code, d)] for code in "4-+"}
-
-
 def _match(case: CatalogCase, by_code: dict[str, list[int]], a) -> tuple[int, ...] | None:
     """Least permutation (lexicographically) that fits the case, or None.
 
-    by_code is the field's _sign_slots, worked out once per field.  Every
-    disc has exactly one sign code, so a block whose counts of each code
-    differ from the field's admits no bijection and is rejected at once.
+    by_code maps each sign code to the ascending indices of the discs that
+    have it, worked out once per field.  Every disc has exactly one sign
+    code, so a block whose counts of each code differ from the field's
+    admits no bijection and is rejected at once.
     perm[k] is the disc index placed in catalog slot k.  Slots are filled in
     order, each trying the unused sign-admissible indices ascending, and the
     fixed entries between the new slot and every filled one are checked at
@@ -224,21 +243,27 @@ def _match(case: CatalogCase, by_code: dict[str, list[int]], a) -> tuple[int, ..
     return tuple(perm) if _fill(case.fixed, slots, a, perm) else None
 
 
-def _classify(spec: QuadFieldSpec, m: RedeiMatrix) -> CaseId:
-    """classify_open_case on a field whose Redei matrix m is already built."""
-    by_code = _sign_slots(spec.discs)
+@lru_cache(maxsize=_CASE_CACHE_SIZE)
+def _case_of(codes: tuple[str, ...], a: tuple[tuple[int, ...], ...]) -> CaseId:
+    """The verdict for discs with these sign codes, in order, and Redei entries."""
+    by_code = {code: [i for i, c in enumerate(codes) if c == code] for code in "4-+"}
     for case in catalog_cases():
-        perm = _match(case, by_code, m.entries)
+        perm = _match(case, by_code, a)
         if perm is None:
             continue
         if case.status == "resolved":
             return CaseId("NotOpen", perm, f"resolved elsewhere: {case.tag} ({case.note})")
         return CaseId(case.tag, perm)
-    if _four_rank(m) >= 3:
+    if _four_rank(a) >= 3:
         reason = "4-rank >= 3: infinite 2-tower already known (Hajir), not an open case"
     else:
         reason = "no open-case match: settled in the literature or outside the catalog"
     return CaseId("NotOpen", (), reason)
+
+
+def _classify(spec: QuadFieldSpec, m: RedeiMatrix) -> CaseId:
+    """classify_open_case on a field whose Redei matrix m is already built."""
+    return _case_of(tuple(map(_code, spec.discs)), m.entries)
 
 
 def classify_open_case(spec: QuadFieldSpec) -> CaseId:

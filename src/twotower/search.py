@@ -24,10 +24,8 @@ from .errors import Exhausted, NotFundamental, TemplateMismatch
 from .redei import (
     CatalogCase,
     _classify,
+    _code,
     _entry,
-    _match,
-    _sign_slots,
-    _slot_ok,
     catalog_cases,
     f2_rank,
     four_rank_narrow,
@@ -51,8 +49,9 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     value, or None (or '_') for a hole.  A hole takes -4 in a '4' slot and
     otherwise -q or +q for an odd prime q <= `bound`, never -8 or 8, and
     keeps only the q whose entries against the known discs at the slots
-    given are the case's fixed entries; a completed field is accepted when
-    it classifies as the case under any permutation.  So a result may fit
+    given are the case's fixed entries; every completed field is then
+    re-classified, through the cached catalog match, and accepted when it
+    classifies as the case under any permutation.  So a result may fit
     the case only with its discs at other slots: FamD2d (-4, -19, -43, 29,
     37) completes (-4, _, _, 29, 37) and fits under (0, 2, 1, 3, 4).  A
     field that fits only when known discs move is never tried: D1 with
@@ -70,7 +69,7 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     known = {i: v for i, v in enumerate(slots) if v is not None}
     holes = [i for i, v in enumerate(slots) if v is None]
     for i, v in known.items():
-        if not _slot_ok(cat.signs[i], PrimeDiscriminant.from_value(v)):
+        if _code(PrimeDiscriminant.from_value(v)) != cat.signs[i]:
             raise TemplateMismatch(f"slot {i}: {v} does not fit sign code {cat.signs[i]!r}")
     known_primes = {PrimeDiscriminant.from_value(v).prime for v in known.values()}
     if len(known_primes) != len(known):
@@ -121,12 +120,7 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
         spec = QuadFieldSpec.from_disc_values(values)
         if not spec.is_imaginary or spec.discriminant in seen_fields:
             continue
-        # One _match against the target block rejects a candidate; _classify
-        # then applies the catalog's first-match rule to the ones that fit.
-        m = redei_matrix(spec)
-        if _match(cat, _sign_slots(spec.discs), m.entries) is None:
-            continue
-        if _classify(spec, m).tag == cat.tag:
+        if _classify(spec, redei_matrix(spec)).tag == cat.tag:
             seen_fields.add(spec.discriminant)
             results.append(spec)
     if not results:
@@ -173,7 +167,7 @@ def find_base_fields(
             continue
         if spec.t != shape["t"] or not _template_ok(sign_pattern, spec):
             continue
-        if f2_rank(redei_matrix(spec)) > redei_rank_max:
+        if f2_rank(redei_matrix(spec).entries) > redei_rank_max:
             continue
         if cl2_order(spec) < min_cl2:
             continue

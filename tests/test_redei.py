@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import itertools
 import os
 import random
@@ -12,10 +13,13 @@ from twotower.arith import (
     prime_disc_factorization,
     primes_up_to,
 )
+from twotower import redei
 from twotower.quadforms import narrow_class_group, wide_class_group
 from twotower.redei import (
     CaseId,
-    _slot_ok,
+    _case_of,
+    _entry,
+    _parse_catalog,
     catalog_cases,
     catalog_text,
     classify_open_case,
@@ -24,6 +28,7 @@ from twotower.redei import (
     redei_matrix,
     two_ranks,
 )
+from twotower.search import complete_tuple
 
 FULL = os.environ.get("TWOTOWER_FULL_SWEEPS") == "1"
 
@@ -51,8 +56,8 @@ def test_redei_matrix_examples():
 
 
 def test_f2_rank_examples():
-    assert f2_rank(redei_matrix(spec_of(-7, -19, -3))) == 1
-    assert f2_rank(redei_matrix(spec_of(5, 29))) == 0
+    assert f2_rank(redei_matrix(spec_of(-7, -19, -3)).entries) == 1
+    assert f2_rank(redei_matrix(spec_of(5, 29)).entries) == 0
     m = redei_matrix(spec_of(5, 29, 109, 661))
     # independent elimination over F2 on column vectors
     cols = [[m.entries[i][j] for i in range(m.t)] for j in range(m.t)]
@@ -65,7 +70,7 @@ def test_f2_rank_examples():
                 v = [x ^ y for x, y in zip(v, b)]
         if any(v):
             basis.append(v)
-    assert f2_rank(m) == len(basis)
+    assert f2_rank(m.entries) == len(basis)
 
 
 def test_four_rank_examples():
@@ -158,12 +163,21 @@ def test_classify_matched_permutation_is_faithful():
                 assert m.entries[i][j] == cat.fixed[i][j]
 
 
+def slot_ok(code, d):
+    """Whether disc d fits catalog sign code code."""
+    if code == "4":
+        return d.value == -4
+    if code == "-":
+        return d.value < 0 and d.value != -4
+    return code == "+" and d.value > 0
+
+
 def classify_by_permutation_scan(spec):
     """Reference classifier: scan every permutation in lexicographic order."""
     a = redei_matrix(spec).entries
     for case in catalog_cases():
         for perm in itertools.permutations(range(5)):
-            if not all(_slot_ok(code, spec.discs[i]) for code, i in zip(case.signs, perm)):
+            if not all(slot_ok(code, spec.discs[i]) for code, i in zip(case.signs, perm)):
                 continue
             if all(
                 want is None or a[perm[r]][perm[c]] == want
@@ -219,13 +233,51 @@ def test_classify_matches_permutation_scan():
         spec = spec_of(*values)
         if spec.discriminant < 0:
             fields.append(spec)
+    # Cold, then warm: the memoized verdicts must be the ones worked out.
+    _case_of.cache_clear()
+    _entry.cache_clear()
+    cold = [classify_open_case(spec) for spec in fields]
+    warm = [classify_open_case(spec) for spec in fields]
+    assert _case_of.cache_info().hits >= len(fields)
     tags = set()
-    for spec in fields:
-        got = classify_open_case(spec)
-        assert got == classify_by_permutation_scan(spec), spec.values()
+    for spec, got, again in zip(fields, cold, warm):
+        assert got == again == classify_by_permutation_scan(spec), spec.values()
         tags.add(got.reason.split(":")[0] if got.tag == "NotOpen" else got.tag)
     # every block matched (the resolved one as NotOpen), and both no-match reasons
     assert len(tags) == len(CATALOG_MEMBERS) - 1 + 3
+
+
+def test_memo_keys_on_sign_codes_and_stays_bounded():
+    assert _case_of.cache_info().maxsize == redei._CASE_CACHE_SIZE
+    assert _entry.cache_info().maxsize == redei._ENTRY_CACHE_SIZE
+    # The same entries under other sign codes are another key: M49 needs
+    # the codes - - - + +, so with a 4 in place of a - it cannot match.
+    a = redei_matrix(spec_of(*CATALOG_MEMBERS["M49"])).entries
+    assert _case_of(("-", "-", "-", "+", "+"), a).tag == "M49"
+    assert _case_of(("4", "-", "-", "+", "+"), a).tag == "NotOpen"
+    for n in range(redei._CASE_CACHE_SIZE + 10):
+        _case_of(("-",) * 5, tuple(tuple(n >> 5 * i + j & 1 for j in range(5)) for i in range(5)))
+    for v in range(redei._ENTRY_CACHE_SIZE + 10):
+        _entry(v, 7)
+    assert _case_of.cache_info().currsize <= redei._CASE_CACHE_SIZE
+    assert _entry.cache_info().currsize <= redei._ENTRY_CACHE_SIZE
+
+
+def test_repeated_completion_makes_no_kronecker_call(monkeypatch):
+    calls = []
+
+    def counted(a, n):
+        calls.append((a, n))
+        return kronecker(a, n)
+
+    monkeypatch.setattr(redei, "kronecker", counted)
+    _case_of.cache_clear()
+    _entry.cache_clear()
+    first = complete_tuple("M49", [None, -11, -7, 13, None], 300, count=3)
+    assert calls
+    calls.clear()
+    assert complete_tuple("M49", [None, -11, -7, 13, None], 300, count=3) == first
+    assert calls == []
 
 
 def test_classify_leaves_no_reference_cycles():
@@ -249,6 +301,46 @@ def test_classify_rejects_bad_input():
         classify_open_case(spec_of(-3, -7))
     with pytest.raises(ValueError):
         classify_open_case(spec_of(5, 29, 109, 661, 13))
+
+
+def test_catalog_parses_as_before():
+    # sha256 of the parsed shipped catalog, taken before the parser
+    # validated blocks.
+    digest = hashlib.sha256(repr(_parse_catalog(catalog_text())).encode()).hexdigest()
+    assert digest == "3b61cce34dc959189f0d8d6e36c34e541df466fa23f365043e43838e99f09bf7"
+
+
+def test_catalog_rejects_malformed_blocks():
+    good = """
+case X
+status open
+signs - - - + +
+row - 1 * 0 0
+row 0 - 1 * 0
+row 0 0 - 1 *
+row * 0 0 - 1
+row 1 * 0 0 -
+note fine
+"""
+    assert [c.tag for c in _parse_catalog(good)] == ["X"]
+    bad = [
+        good.replace("signs - - - + +", "signs - - x + +"),
+        good.replace("signs - - - + +", "signs - - - +"),
+        good.replace("signs - - - + +\n", ""),
+        good.replace("row 1 * 0 0 -\n", ""),
+        good + "row 1 * 0 0 -\n",
+        good.replace("row 0 0 - 1 *", "row 0 0 - 1"),
+        good.replace("row 0 0 - 1 *", "row 0 0 0 1 *"),
+        good.replace("row 0 0 - 1 *", "row 0 - - 1 *"),
+        good.replace("row 0 0 - 1 *", "row 0 0 - 1 2"),
+        good.replace("status open", "status opne"),
+        good.replace("status open\n", ""),
+        good + good,
+        "row - 1 1 0 1\n" + good,
+    ]
+    for text in bad:
+        with pytest.raises(ValueError):
+            _parse_catalog(text)
 
 
 def test_catalog_text_round_trip():
