@@ -240,10 +240,6 @@ class PrimeDiscriminant:
             return cls(v, p)
         raise NotFundamental(f"{v} is not a prime discriminant")
 
-    @property
-    def sign(self) -> int:
-        return 1 if self.value > 0 else -1
-
     def __int__(self) -> int:
         return self.value
 
@@ -267,10 +263,6 @@ class QuadFieldSpec:
     @classmethod
     def from_disc_values(cls, values) -> "QuadFieldSpec":
         return cls(tuple(PrimeDiscriminant.from_value(v) for v in values))
-
-    @classmethod
-    def from_discriminant(cls, d: int) -> "QuadFieldSpec":
-        return prime_disc_factorization(d)
 
     @property
     def discriminant(self) -> int:

@@ -84,8 +84,9 @@ def max_disc_bound(override: int | None = None) -> int:
 
 
 def _check_bound(d: int, bound: int | None = None) -> None:
-    if abs(d) > max_disc_bound(bound):
-        raise BoundExceeded(f"|{d}| exceeds the configured discriminant bound")
+    limit = max_disc_bound(bound)
+    if abs(d) > limit:
+        raise BoundExceeded(f"|{d}| exceeds the discriminant bound {limit}")
 
 
 def _check_fundamental(d: int) -> None:

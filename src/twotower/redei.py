@@ -1,10 +1,11 @@
 """Redei matrices over F2, 2- and 4-rank formulas, and open-case classification.
 
-The classification catalog (catalog.txt) lists the open 5x5 matrix cases
-for imaginary quadratic fields with five ramified primes, in the
-numbering of Sueyoshi's and Benjamin's casework.  That casework reads
-only the sign codes of a field's discs, in order, and its Redei entries, so
-classification is a cached function of (sign codes, entries).  It
+A Redei matrix is the tuple of its rows.  The classification catalog
+(catalog.txt) lists the open 5x5 matrix cases for imaginary quadratic
+fields with five ramified primes, in the numbering of Sueyoshi's and
+Benjamin's casework.  That casework reads only the sign codes of a field's
+discs, in order, and its Redei matrix, so classification is a cached
+function of (sign codes, matrix), keyed on the row tuple itself.  It
 backtracks over assignments of the discs to catalog slots, checking sign
 codes and fixed entries as each slot is filled, once per pair it meets.
 """
@@ -16,21 +17,6 @@ from functools import lru_cache
 from importlib import resources
 
 from .arith import PrimeDiscriminant, QuadFieldSpec, kronecker
-
-
-@dataclass(frozen=True)
-class RedeiMatrix:
-    """Additive Redei matrix: (-1)^a_ij = (p_i*/p_j), diagonal fixed by zero column sums."""
-
-    entries: tuple[tuple[int, ...], ...]
-    labels: tuple[PrimeDiscriminant, ...]
-
-    @property
-    def t(self) -> int:
-        return len(self.labels)
-
-    def __str__(self) -> str:
-        return "\n".join(" ".join(str(e) for e in row) for row in self.entries)
 
 
 # Sized from the distinct keys met in 20 s benchmark runs.  complete_tuple
@@ -47,13 +33,14 @@ def _entry(value: int, prime: int) -> int:
     return 0 if kronecker(value, prime) == 1 else 1
 
 
-def redei_matrix(spec: QuadFieldSpec) -> RedeiMatrix:
-    """Redei matrix of the field, rows/columns in the spec's disc order.
+def redei_matrix(spec: QuadFieldSpec) -> tuple[tuple[int, ...], ...]:
+    """Additive Redei matrix of the field as a tuple of rows over F2, rows
+    and columns in the spec's disc order.
 
-    Off-diagonal a_ij encodes (p_i*/p_j); the diagonal a_jj encodes the
+    (-1)^a_ij = (p_i*/p_j) off the diagonal; the diagonal a_jj encodes the
     cofactor symbol ((Delta/p_j*)/p_j), which by multiplicativity equals
     the sum of column j's off-diagonal entries, so it is read off that sum
-    and column sums vanish.
+    and every column sums to zero.
     """
     discs = spec.discs
     rows = [
@@ -62,12 +49,12 @@ def redei_matrix(spec: QuadFieldSpec) -> RedeiMatrix:
     ]
     for j, row in enumerate(rows):
         row[j] = sum(r[j] for r in rows) % 2
-    return RedeiMatrix(tuple(map(tuple, rows)), discs)
+    return tuple(map(tuple, rows))
 
 
 def f2_rank(entries: tuple[tuple[int, ...], ...]) -> int:
-    """Rank over F2 of a square matrix's rows, such as RedeiMatrix.entries,
-    by Gaussian elimination on row bitmasks."""
+    """Rank over F2 of a square matrix's rows, such as redei_matrix's, by
+    Gaussian elimination on row bitmasks."""
     rows = [sum(bit << k for k, bit in enumerate(row)) for row in entries]
     rank = 0
     for k in range(len(entries)):
@@ -85,7 +72,7 @@ def _four_rank(entries: tuple[tuple[int, ...], ...]) -> int:
 
 def four_rank_narrow(spec: QuadFieldSpec) -> int:
     """d4 of the narrow class group, via the Redei-Reichardt rank formula."""
-    return _four_rank(redei_matrix(spec).entries)
+    return _four_rank(redei_matrix(spec))
 
 
 def two_ranks(spec: QuadFieldSpec) -> tuple[int, int]:
@@ -178,14 +165,9 @@ def catalog_text() -> str:
     return resources.files(__package__).joinpath("catalog.txt").read_text()
 
 
-_CATALOG: tuple[CatalogCase, ...] | None = None
-
-
+@lru_cache(maxsize=1)
 def catalog_cases() -> tuple[CatalogCase, ...]:
-    global _CATALOG
-    if _CATALOG is None:
-        _CATALOG = _parse_catalog(catalog_text())
-    return _CATALOG
+    return _parse_catalog(catalog_text())
 
 
 def _code(d: PrimeDiscriminant) -> str:
@@ -261,9 +243,9 @@ def _case_of(codes: tuple[str, ...], a: tuple[tuple[int, ...], ...]) -> CaseId:
     return CaseId("NotOpen", (), reason)
 
 
-def _classify(spec: QuadFieldSpec, m: RedeiMatrix) -> CaseId:
-    """classify_open_case on a field whose Redei matrix m is already built."""
-    return _case_of(tuple(map(_code, spec.discs)), m.entries)
+def _classify(spec: QuadFieldSpec, a: tuple[tuple[int, ...], ...]) -> CaseId:
+    """classify_open_case on a field whose Redei matrix a is already built."""
+    return _case_of(tuple(map(_code, spec.discs)), a)
 
 
 def classify_open_case(spec: QuadFieldSpec) -> CaseId:

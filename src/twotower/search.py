@@ -66,23 +66,21 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     slots = [None if v in (None, "_") else int(v) for v in partial]
     if len(slots) != 5:
         raise TemplateMismatch("a partial tuple needs exactly 5 slots")
-    known = {i: v for i, v in enumerate(slots) if v is not None}
+    known: dict[int, PrimeDiscriminant] = {}
+    for i, v in enumerate(slots):
+        if v is not None:
+            known[i] = PrimeDiscriminant.from_value(v)
+            if _code(known[i]) != cat.signs[i]:
+                raise TemplateMismatch(f"slot {i}: {v} does not fit sign code {cat.signs[i]!r}")
     holes = [i for i, v in enumerate(slots) if v is None]
-    for i, v in known.items():
-        if _code(PrimeDiscriminant.from_value(v)) != cat.signs[i]:
-            raise TemplateMismatch(f"slot {i}: {v} does not fit sign code {cat.signs[i]!r}")
-    known_primes = {PrimeDiscriminant.from_value(v).prime for v in known.values()}
+    known_primes = {d.prime for d in known.values()}
     if len(known_primes) != len(known):
         raise TemplateMismatch("known discs share an underlying prime")
     # Known-against-known symbols must already match the case.
     for i, j in itertools.permutations(known, 2):
         want = cat.fixed[i][j]
-        if want is not None:
-            pj = PrimeDiscriminant.from_value(known[j]).prime
-            if _entry(known[i], pj) != want:
-                raise Exhausted(
-                    f"known discs violate fixed entry ({i},{j}); no completion exists"
-                )
+        if want is not None and _entry(known[i].value, known[j].prime) != want:
+            raise Exhausted(f"known discs violate fixed entry ({i},{j}); no completion exists")
     odd_primes = [q for q in primes_up_to(bound)[1:] if q not in known_primes]
     candidates: list[list[int]] = []
     for j in holes:
@@ -92,10 +90,7 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
             continue
         sign = -1 if code == "-" else 1
         # (v, p, (q*/p), (v/q)) for each known disc v = p*; None is a wildcard.
-        entries = [
-            (v, PrimeDiscriminant.from_value(v).prime, cat.fixed[j][i], cat.fixed[i][j])
-            for i, v in known.items()
-        ]
+        entries = [(d.value, d.prime, cat.fixed[j][i], cat.fixed[i][j]) for i, d in known.items()]
         candidates.append(
             [
                 sign * q
@@ -111,8 +106,10 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     results: list[QuadFieldSpec] = []
     seen_fields: set[int] = set()
     for fill in itertools.product(*candidates):
-        primes_used = [abs(v) if v != -4 else 2 for v in fill]
-        if len(set(primes_used)) != len(fill):
+        # A hole takes -4 for the prime 2, -q only for q = 3 (mod 4) and +q
+        # only for q = 1 (mod 4), so two hole values share a prime exactly
+        # when they are equal.
+        if len(set(fill)) != len(fill):
             continue
         values = list(slots)
         for j, v in zip(holes, fill):
@@ -129,26 +126,14 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     return results[:count]
 
 
+# Each template's number of discs, sign of D, and predicate on the disc values.
 _TEMPLATES = {
-    "imaginary-3-neg": dict(t=3, disc_sign=-1),
-    "imaginary-with-minus4": dict(t=3, disc_sign=-1),
-    "imaginary-mixed-pair": dict(t=2, disc_sign=-1),
-    "real-pos-pair": dict(t=2, disc_sign=1),
+    "imaginary-3-neg": (3, -1, lambda vs: all(v < 0 for v in vs) and -4 not in vs),
+    # usable under a -4-bearing parent: contains -4, or leaves 2 unramified
+    "imaginary-with-minus4": (3, -1, lambda vs: -4 in vs or all(v % 2 for v in vs)),
+    "imaginary-mixed-pair": (2, -1, lambda vs: True),
+    "real-pos-pair": (2, 1, lambda vs: all(v > 0 for v in vs)),
 }
-
-
-def _template_ok(name: str, spec: QuadFieldSpec) -> bool:
-    values = spec.values()
-    if name == "imaginary-3-neg":
-        return all(v < 0 for v in values) and -4 not in values
-    if name == "imaginary-with-minus4":
-        # usable under a -4-bearing parent: contains -4, or leaves 2 unramified
-        return -4 in values or all(v % 2 for v in values)
-    if name == "imaginary-mixed-pair":
-        return True
-    if name == "real-pos-pair":
-        return all(v > 0 for v in values)
-    raise TemplateMismatch(f"unknown template {name!r}")
 
 
 def find_base_fields(
@@ -158,16 +143,16 @@ def find_base_fields(
     and |Cl_2| >= min_cl2, ascending by |D|."""
     if sign_pattern not in _TEMPLATES:
         raise TemplateMismatch(f"unknown template {sign_pattern!r}")
-    shape = _TEMPLATES[sign_pattern]
+    t, sign, fits = _TEMPLATES[sign_pattern]
     out = []
     for absd in range(3, bound + 1):
         try:
-            spec = prime_disc_factorization(shape["disc_sign"] * absd)
+            spec = prime_disc_factorization(sign * absd)
         except NotFundamental:
             continue
-        if spec.t != shape["t"] or not _template_ok(sign_pattern, spec):
+        if spec.t != t or not fits(spec.values()):
             continue
-        if f2_rank(redei_matrix(spec).entries) > redei_rank_max:
+        if f2_rank(redei_matrix(spec)) > redei_rank_max:
             continue
         if cl2_order(spec) < min_cl2:
             continue

@@ -188,7 +188,7 @@ def verify_imag_triple(
     ordered = None
     for perm in itertools.permutations(range(3)):
         candidate = base.reordered(perm)
-        if redei_matrix(candidate).entries == _TRIPLE_SHAPE:
+        if redei_matrix(candidate) == _TRIPLE_SHAPE:
             ordered = candidate
             break
     if ordered is None:

@@ -378,7 +378,7 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
     _require(k.is_imaginary, "K must be imaginary")
     d2, _ = two_ranks(k)
     m = redei_matrix(k)
-    d4 = _four_rank(m.entries)
+    d4 = _four_rank(m)
     if k.t == 5:
         case = _classify(k, m)
     else:

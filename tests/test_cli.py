@@ -189,7 +189,7 @@ def test_max_disc_flag(capsys):
     saved = os.environ.pop("TWO_TOWER_MAX_DISC", None)
     try:
         code, _, err = run(capsys, "--max-disc", "100", "classgroup", "--", "-399")
-        assert code == 2 and "bound" in err
+        assert code == 2 and "bound 100" in err
     finally:
         os.environ.pop("TWO_TOWER_MAX_DISC", None)
         if saved is not None:

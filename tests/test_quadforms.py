@@ -744,7 +744,7 @@ def test_bound_and_fundamentality_checks():
             with pytest.raises(BoundExceeded):
                 fn(d)
         for d in (-2379, 2379 * 4, -2383, -11):
-            with pytest.raises(BoundExceeded):
+            with pytest.raises(BoundExceeded, match=f"bound {abs(d) - 1}$"):
                 fn(d, bound=abs(d) - 1)
             fn(d, bound=abs(d))
         with pytest.raises(BoundExceeded):

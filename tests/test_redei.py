@@ -50,17 +50,17 @@ def random_spec(rng):
 
 
 def test_redei_matrix_examples():
-    assert redei_matrix(spec_of(-7, -19, -3)).entries == ((0, 1, 1), (0, 1, 1), (0, 0, 0))
-    assert redei_matrix(spec_of(-4)).entries == ((0,),)
-    assert redei_matrix(spec_of(5, 29)).entries == ((0, 0), (0, 0))
+    assert redei_matrix(spec_of(-7, -19, -3)) == ((0, 1, 1), (0, 1, 1), (0, 0, 0))
+    assert redei_matrix(spec_of(-4)) == ((0,),)
+    assert redei_matrix(spec_of(5, 29)) == ((0, 0), (0, 0))
 
 
 def test_f2_rank_examples():
-    assert f2_rank(redei_matrix(spec_of(-7, -19, -3)).entries) == 1
-    assert f2_rank(redei_matrix(spec_of(5, 29)).entries) == 0
+    assert f2_rank(redei_matrix(spec_of(-7, -19, -3))) == 1
+    assert f2_rank(redei_matrix(spec_of(5, 29))) == 0
     m = redei_matrix(spec_of(5, 29, 109, 661))
     # independent elimination over F2 on column vectors
-    cols = [[m.entries[i][j] for i in range(m.t)] for j in range(m.t)]
+    cols = [[m[i][j] for i in range(len(m))] for j in range(len(m))]
     basis = []
     for v in cols:
         v = list(v)
@@ -70,7 +70,7 @@ def test_f2_rank_examples():
                 v = [x ^ y for x, y in zip(v, b)]
         if any(v):
             basis.append(v)
-    assert f2_rank(m.entries) == len(basis)
+    assert f2_rank(m) == len(basis)
 
 
 def test_four_rank_examples():
@@ -91,11 +91,11 @@ def test_column_sums_always_zero_rows_where_expected():
     for _ in range(500):
         spec = random_spec(rng)
         m = redei_matrix(spec)
-        for j in range(m.t):
-            assert sum(m.entries[i][j] for i in range(m.t)) % 2 == 0, spec
+        for j in range(len(m)):
+            assert sum(m[i][j] for i in range(len(m))) % 2 == 0, spec
         # row sums vanish too for imaginary fields avoiding -4
         if spec.discriminant < 0 and -4 not in spec.values():
-            for row in m.entries:
+            for row in m:
                 assert sum(row) % 2 == 0, spec
 
 
@@ -107,7 +107,7 @@ def test_diagonal_is_cofactor_symbol():
         delta = spec.discriminant
         for i, d in enumerate(spec.discs):
             want = 0 if kronecker(delta // d.value, d.prime) == 1 else 1
-            assert m.entries[i][i] == want
+            assert m[i][i] == want
 
 
 def test_redei_reichardt_oracle_small():
@@ -160,7 +160,7 @@ def test_classify_matched_permutation_is_faithful():
     for i in range(5):
         for j in range(5):
             if cat.fixed[i][j] is not None:
-                assert m.entries[i][j] == cat.fixed[i][j]
+                assert m[i][j] == cat.fixed[i][j]
 
 
 def slot_ok(code, d):
@@ -174,7 +174,7 @@ def slot_ok(code, d):
 
 def classify_by_permutation_scan(spec):
     """Reference classifier: scan every permutation in lexicographic order."""
-    a = redei_matrix(spec).entries
+    a = redei_matrix(spec)
     for case in catalog_cases():
         for perm in itertools.permutations(range(5)):
             if not all(slot_ok(code, spec.discs[i]) for code, i in zip(case.signs, perm)):
@@ -252,7 +252,7 @@ def test_memo_keys_on_sign_codes_and_stays_bounded():
     assert _entry.cache_info().maxsize == redei._ENTRY_CACHE_SIZE
     # The same entries under other sign codes are another key: M49 needs
     # the codes - - - + +, so with a 4 in place of a - it cannot match.
-    a = redei_matrix(spec_of(*CATALOG_MEMBERS["M49"])).entries
+    a = redei_matrix(spec_of(*CATALOG_MEMBERS["M49"]))
     assert _case_of(("-", "-", "-", "+", "+"), a).tag == "M49"
     assert _case_of(("4", "-", "-", "+", "+"), a).tag == "NotOpen"
     for n in range(redei._CASE_CACHE_SIZE + 10):

@@ -16,14 +16,7 @@ from twotower.arith import (
 from twotower.errors import Exhausted, TemplateMismatch
 from twotower.quadforms import wide_class_group
 from twotower.redei import catalog_cases, classify_open_case, f2_rank, redei_matrix
-from twotower.search import (
-    _TEMPLATES,
-    _template_ok,
-    complete_tuple,
-    dmw_family,
-    find_base_fields,
-    lopez_family,
-)
+from twotower.search import complete_tuple, dmw_family, find_base_fields, lopez_family
 
 
 def test_complete_case_b_gives_107_first():
@@ -89,7 +82,7 @@ def test_complete_against_brute_force():
             spec = QuadFieldSpec.from_disc_values(values)
             if spec.discriminant > 0 or spec.discriminant in want:
                 continue
-            a = redei_matrix(spec).entries
+            a = redei_matrix(spec)
             if any(
                 case.fixed[x][y] is not None and a[x][y] != case.fixed[x][y]
                 for i, j in pairs
@@ -174,29 +167,58 @@ def test_find_base_fields_named_sets():
         assert absd == sorted(absd)
 
 
+def template_ok(name, d, values):
+    """Whether the field of discriminant d with these disc values fits the
+    named base-field template."""
+    if name == "imaginary-3-neg":
+        return d < 0 and len(values) == 3 and max(values) < 0 and -4 not in values
+    if name == "imaginary-with-minus4":
+        # -4 among the discs, or 2 unramified (d odd)
+        return d < 0 and len(values) == 3 and (-4 in values or d % 2 == 1)
+    if name == "imaginary-mixed-pair":
+        return d < 0 and len(values) == 2
+    assert name == "real-pos-pair"
+    return d > 0 and len(values) == 2 and min(values) > 0
+
+
 def test_find_base_fields_brute_force_oracle():
     # independent dumb filter over every fundamental discriminant
-    for template, min_cl2, rank_max, sign in [
-        ("imaginary-3-neg", 16, 1, -1),
-        ("real-pos-pair", 8, 0, 1),
+    for template, min_cl2, rank_max in [
+        ("imaginary-3-neg", 16, 1),
+        ("imaginary-with-minus4", 8, 1),
+        ("imaginary-mixed-pair", 8, 0),
+        ("real-pos-pair", 8, 0),
     ]:
         got = {s.discriminant for s in find_base_fields(template, min_cl2, rank_max, 5000)}
         want = set()
-        for absd in range(3, 5001):
-            d = sign * absd
+        for d in range(-5000, 5001):
             if not is_fundamental(d):
                 continue
             spec = prime_disc_factorization(d)
-            if spec.t != _TEMPLATES[template]["t"]:
+            if not template_ok(template, d, spec.values()):
                 continue
-            if not _template_ok(template, spec):
-                continue
-            if f2_rank(redei_matrix(spec).entries) > rank_max:
+            if f2_rank(redei_matrix(spec)) > rank_max:
                 continue
             if wide_class_group(d).two_part_order < min_cl2:
                 continue
             want.add(d)
-        assert got == want, template
+        assert want and got == want, template
+
+
+def test_find_base_fields_pinned():
+    # sha256 over every template at min_cl2 4, 8 and 16 and Redei rank at
+    # most 0, 1 and 2, bound 3000 (1,738 fields), taken while each template
+    # was still stated twice, in a table and in an if-chain.
+    names = ["imaginary-3-neg", "imaginary-mixed-pair", "imaginary-with-minus4", "real-pos-pair"]
+    lines = [
+        json.dumps([name, c, r, [list(s.values()) for s in find_base_fields(name, c, r, 3000)]])
+        for name in names
+        for c in (4, 8, 16)
+        for r in (0, 1, 2)
+    ]
+    assert sum(len(json.loads(line)[3]) for line in lines) == 1738
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "e827f5f165b50e10aec4d6d077417e85c95d18a95e6e774dfb41d8c1c65969e6"
 
 
 def test_unknown_template():

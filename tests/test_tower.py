@@ -108,7 +108,7 @@ def test_splitting_count_divides_degree():
         d = -rng.randint(3, 4000)
         if not is_fundamental(d):
             continue
-        f = QuadFieldSpec.from_discriminant(d)
+        f = prime_disc_factorization(d)
         c = cl2_order(f)
         for p in rng.sample(primes_up_to(100), 6):
             n = splitting_count(f, p)
@@ -129,7 +129,7 @@ def test_inert_primes_totally_split_in_l():
         p = rng.choice(primes_up_to(300))
         if kronecker(d, p) != -1:
             continue
-        f = QuadFieldSpec.from_discriminant(d)
+        f = prime_disc_factorization(d)
         assert splitting_count(f, p) == cl2_order(f), (d, p)
         done += 1
 
