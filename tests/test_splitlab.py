@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 from collections import Counter
 
@@ -7,6 +9,7 @@ import twotower.splitlab as splitlab
 from twotower.arith import QuadFieldSpec, kronecker, primes_up_to
 from twotower.errors import PreconditionUnmet
 from twotower.quadforms import (
+    _prime_form,
     _table,
     narrow_class_group,
     prime_class_info,
@@ -222,3 +225,83 @@ def test_sweeps_match_reference(monkeypatch):
             report = verify_imag_triple(*triple, bound, wide)
             want = _reference_imag_triple(report.base_field, bound, wide)
             assert (report.checked, [p for p, _ in report.violations]) == want, triple
+
+
+
+def test_symbol_chunks_join_up(monkeypatch):
+    # Chunks of 16 primes: rows cross many chunk edges, and each value's
+    # memo carries over them, so the kronecker-call bound still holds.
+    monkeypatch.setattr(splitlab, "_SYMBOL_CHUNK", 16)
+    bound = 700
+    for values in SWEEP_FIELDS:
+        f = QuadFieldSpec.from_disc_values(values)
+        calls = _counting_kronecker(monkeypatch)
+        rows = list(iter_rows(f, bound))
+        assert rows == _reference_rows(f, bound, True), values
+        for v in values:
+            assert calls[v] <= len({row.p % abs(v) for row in rows}), (values, v, calls[v])
+
+# SHA-256 over SWEEP_FIELDS explored at bound 3000 (TSV and summary, wide
+# and narrow) and the reports of the sweeps above, taken before the sweep
+# kernel was tuned (symbol columns, shared PrimeClassInfo objects, cached
+# Tonelli constants and prime lists).
+SWEEP_OUTPUT_SHA256 = "6b7402c5093d0e22681a15e2735393d2e8203878ecf6b65f7e9b4d8808b81262"
+
+
+def test_sweep_output_pinned():
+    h = hashlib.sha256()
+    for values in SWEEP_FIELDS:
+        f = QuadFieldSpec.from_disc_values(values)
+        for wide in (True, False):
+            exp = explore_symbol_dependence(f, 3000, wide)
+            h.update("\n".join(row.tsv() for row in exp.rows).encode())
+            h.update(json.dumps(exp.summary()).encode())
+    both = (True, False)
+    reports = [verify_real_pair(*pair, 3000, w) for pair in [(5, 29), (13, 17), (29, 1009)] for w in both]
+    reports += [verify_imag_triple(*triple, 3000, w) for triple in [(7, 19, 3), (3, 7, 719)] for w in both]
+    for report in reports:
+        h.update(f"{report.describe()}\n{report.violations}".encode())
+    assert h.hexdigest() == SWEEP_OUTPUT_SHA256
+
+
+def test_experiment_row_is_immutable_tuple():
+    row = next(iter_rows(QuadFieldSpec.from_disc_values([5, 29]), 10))
+    with pytest.raises(AttributeError):
+        row.p = 2
+    p, symbols, split_type, order_2part, count_in_l = row
+    assert row == (p, symbols, split_type, order_2part, count_in_l)
+
+
+def _split_primes_by_class(d, bound):
+    t = _table(d)
+    by_class = {}
+    for p in primes_up_to(bound):
+        if kronecker(d, p) == 1:
+            by_class.setdefault(t.class_index(_prime_form(d, p)), []).append(p)
+    return t, by_class
+
+
+def test_prime_info_shared_per_class():
+    shared = 0
+    for d in (145, -399):
+        t, by_class = _split_primes_by_class(d, 400)
+        for p1, p2, *_ in (ps for ps in by_class.values() if len(ps) > 1):
+            for wide in (True, False):
+                assert t.prime_info(p1, 1, wide) is t.prime_info(p2, 1, wide), (d, p1, p2)
+            shared += 1
+    assert shared >= 10
+
+
+def test_ramified_and_split_prime_in_one_class_keep_split_type():
+    # A ramified prime's class also holds split primes; the memo must not
+    # hand one's split type to the other.  Real d, wide and narrow.
+    met = 0
+    for d in (145, 1365, 2305):
+        t, by_class = _split_primes_by_class(d, 2000)
+        for q in (q for q in primes_up_to(d) if d % q == 0):
+            for p in by_class.get(t.class_index(_prime_form(d, q)), [])[:1]:
+                for wide in (True, False):
+                    assert prime_class_info(d, q, wide=wide).split_type == "ramified", (d, q)
+                    assert prime_class_info(d, p, wide=wide).split_type == "split", (d, p)
+                met += 1
+    assert met >= 3
