@@ -315,15 +315,21 @@ def prime_disc_factorization(d: int) -> QuadFieldSpec:
 
 
 def primes_up_to(n: int) -> list[int]:
-    """Ascending primes <= n by sieve."""
+    """Ascending primes <= n, by a sieve over the odd numbers only.
+
+    Slot i of the sieve stands for 2i + 1, so an odd prime p strikes every
+    p-th slot from p*p's.
+    """
     if n < 2:
         return []
-    sieve = bytearray([1]) * (n + 1)
-    sieve[0] = sieve[1] = 0
-    for p in range(2, isqrt(n) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
-    return list(itertools.compress(range(n + 1), sieve))
+    size = (n + 1) // 2
+    sieve = bytearray([1]) * size
+    sieve[0] = 0
+    for i in range(1, (isqrt(n) + 1) // 2):
+        if sieve[i]:
+            p = 2 * i + 1
+            sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
+    return [2, *itertools.compress(range(1, n + 1, 2), sieve)]
 
 
 def crt_prime_search(conditions, range_bound: int) -> list[int]:

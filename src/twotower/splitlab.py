@@ -40,6 +40,10 @@ from .redei import redei_matrix
 from .tower import _count_in_l
 
 
+def _symbol_key(symbols: tuple[int, ...]) -> str:
+    return ",".join(f"{s:+d}" for s in symbols)
+
+
 class ExperimentRow(NamedTuple):
     """One prime's decomposition data over the base field."""
 
@@ -50,7 +54,7 @@ class ExperimentRow(NamedTuple):
     count_in_l: int
 
     def symbol_key(self) -> str:
-        return ",".join(f"{s:+d}" for s in self.symbols)
+        return _symbol_key(self.symbols)
 
     def tsv(self) -> str:
         return (
@@ -160,11 +164,16 @@ def iter_rows(
 
 
 def summarize_rows(rows: Iterable[ExperimentRow]) -> dict[str, list[int]]:
-    """The order 2-parts seen under each symbol vector, both sorted."""
-    acc: dict[str, set[int]] = {}
+    """The order 2-parts seen under each symbol vector, both sorted.
+
+    Rows are grouped on the symbol tuple, so each of the at most 2^t
+    distinct vectors is formatted once.
+    """
+    acc: dict[tuple[int, ...], set[int]] = {}
     for row in rows:
-        acc.setdefault(row.symbol_key(), set()).add(row.order_2part)
-    return {key: sorted(parts) for key, parts in sorted(acc.items())}
+        acc.setdefault(row.symbols, set()).add(row.order_2part)
+    keyed = {_symbol_key(symbols): parts for symbols, parts in acc.items()}
+    return {key: sorted(parts) for key, parts in sorted(keyed.items())}
 
 
 def explore_symbol_dependence(

@@ -18,9 +18,14 @@ compares.
 
 A base field's discriminant is a QuadFieldSpec's, fundamental by
 construction, so only its bound is checked and no base field is factored.
-For an imaginary F no class table is built: h is counted once on reduced
-forms (cached) and each witness's order 2-part comes from powering its
-prime form.  A real F reads both off its class table.
+An F of narrow Redei 4-rank 0 that is imaginary, or real with every disc
+positive, is settled by genus theory (_genus_witnesses): |Cl_2(F)| is
+2^(t_F - 1) and each witness's type and order 2-part follow from the
+Redei entries of F's discs at the witness, the cached Kronecker symbols
+of K's own Redei matrix.  Every other F counts its class number: for an
+imaginary F no class table is built, h is counted once on reduced forms
+(cached) and each witness's order 2-part comes from powering its prime
+form; a real F reads both off its class table.
 """
 
 from __future__ import annotations
@@ -33,6 +38,7 @@ from math import isqrt
 from .arith import QuadFieldSpec, kronecker
 from .errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet, TwoTowerError
 from .quadforms import (
+    _INERT,
     PrimeClassInfo,
     _check_bound,
     _class_number,
@@ -40,7 +46,7 @@ from .quadforms import (
     max_disc_bound,
     prime_class_info,
 )
-from .redei import CaseId, _classify, _four_rank, redei_matrix, two_ranks
+from .redei import CaseId, _classify, _entry, _four_rank, redei_matrix, two_ranks
 
 
 def gs_infinite(d2: int, unit_2rank: int) -> bool:
@@ -285,11 +291,65 @@ def _checked_base(k: QuadFieldSpec, f: QuadFieldSpec) -> QuadFieldSpec:
     return QuadFieldSpec(discs)
 
 
+# A split prime's class info under _genus_witnesses: in the principal genus or not.
+_GENUS_SPLIT = (PrimeClassInfo("split", 1), PrimeClassInfo("split", 2))
+
+
+def _genus_witnesses(f: QuadFieldSpec, primes) -> tuple[int, tuple[Witness, ...]] | None:
+    """(|Cl_2(F)|, witnesses at primes) by genus theory alone, or None.
+
+    Applies when F is imaginary, or real with every disc positive, and F's
+    narrow Redei 4-rank is 0.  With t = F.t and d_1..d_t F's discs:
+
+    - Elementary Cl_2.  Genus theory gives the narrow 2-rank t - 1, and
+      Redei-Reichardt the narrow 4-rank t - 1 - rank(R_F), here 0.  So the
+      narrow Cl_2 is elementary abelian of order 2^(t-1).
+    - Wide = narrow.  For F imaginary the two groups are one.  For F real
+      with every d_i > 0, d_F is a sum of two squares, so the wide 2-rank
+      is also t - 1 (two_ranks): |Cl_2| >= 2^(t-1) = |Cl_2^+|, and
+      Cl^+ -> Cl, onto with kernel of order h^+/h, is an isomorphism.
+      A real F with a negative disc is refused: there wide may be smaller
+      (d = 21: narrow C2, wide trivial).
+    - Genus characters as Kronecker symbols.  At a prime q not dividing
+      d_F the genus characters of a prime of F above q are the symbols
+      (d_i/q), whose F2 entries a_i = _entry(d_i, q) are Redei entries of
+      K when F's discs and q are K's.  (d_F/q) is their product, so q is
+      inert iff sum a_i is odd; an inert prime is principal: order 2-part
+      1, count c.  A split prime's class is a square iff every character
+      is trivial (principal genus theorem), and in an elementary Cl_2 the
+      2-part of its order is then 1, else 2; _count_in_l gives the count.
+    """
+    values = f.values()
+    if f.discriminant > 0 and any(v < 0 for v in values):
+        return None
+    if _four_rank(redei_matrix(f)):
+        return None
+    c = 1 << (f.t - 1)
+    out = []
+    for q in primes:
+        a = [_entry(v, q) for v in values]
+        info = _INERT if sum(a) % 2 else _GENUS_SPLIT[any(a)]
+        out.append(Witness(q, info.split_type, info.order_2part, _count_in_l(c, info)))
+    return c, tuple(out)
+
+
 def _evaluate(k: QuadFieldSpec, f: QuadFieldSpec):
-    """(|Cl_2(F)|, the witnesses at K's primes unramified in F, the bound check)."""
+    """(|Cl_2(F)|, the witnesses at K's primes unramified in F, the bound check).
+
+    Past F's bound check, F of Redei 4-rank 0 whose wide and narrow groups
+    agree is read off genus theory (_genus_witnesses): no class number, no
+    table and no form powering.  Every other F counts h (cl2_order; wide,
+    as L = F^1_(2) is unramified at infinity too) and looks up each
+    witness's class (_witnesses).
+    """
     rest = [d.prime for d in k.discs if d not in f.discs]
-    c = cl2_order(f)  # wide: L = F^1_(2) is unramified at infinity too
-    wit = _witnesses(f, c, rest)
+    _check_bound(f.discriminant)
+    genus = _genus_witnesses(f, rest)
+    if genus is not None:
+        c, wit = genus
+    else:
+        c = cl2_order(f)
+        wit = _witnesses(f, c, rest)
     return c, wit, _bound_check(f, c, wit)
 
 

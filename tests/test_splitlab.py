@@ -9,9 +9,9 @@ import twotower.splitlab as splitlab
 from twotower.arith import QuadFieldSpec, kronecker, primes_up_to
 from twotower.errors import PreconditionUnmet
 from twotower.quadforms import (
+    _ClassTable,
     _prime_form,
     _table,
-    narrow_class_group,
     prime_class_info,
     prime_form,
     wide_class_group,
@@ -23,7 +23,7 @@ from twotower.splitlab import (
     verify_imag_triple,
     verify_real_pair,
 )
-from twotower.tower import _count_in_l, cl2_order
+from twotower.tower import cl2_order
 
 
 def test_verify_real_pair_small():
@@ -138,47 +138,66 @@ def test_explore_narrow_variant_runs():
     assert narrow.group == "narrow"
 
 
-# Reference sweeps: one kronecker call per symbol and one prime_class_info
-# call per prime, as the sweeps were first written.
+# Reference sweeps: one kronecker call per symbol and, per prime, the class
+# of its prime form in a fresh uncached _ClassTable, as the sweeps were
+# first written.  No memo is shared with the kernel they check.
+
+
+def _reference_info(table, p, wide):
+    """(split type, 2-part of the class order) of p, p prime to the discriminant."""
+    sym = kronecker(table.d, p)
+    if sym == -1:
+        return "inert", 1
+    return "split", table.order_2part_mod(table.class_index(prime_form(table.d, p)), wide)
+
+
+def _reference_c(table, wide):
+    h = table.h_wide if wide else table.h_plus
+    return h & -h
+
+
+def _reference_count(c, split_type, part):
+    return c if split_type == "inert" else 2 * (c // part)
 
 
 def _reference_rows(f, bound, wide):
     d = f.discriminant
-    c = cl2_order(f, wide)
+    table = _ClassTable(d)
+    c = _reference_c(table, wide)
     rows = []
     for p in primes_up_to(bound):
         if d % p == 0:
             continue
-        info = prime_class_info(d, p, wide=wide)
+        split_type, part = _reference_info(table, p, wide)
         symbols = tuple(kronecker(v, p) for v in f.values())
-        count = _count_in_l(c, info)
-        rows.append(ExperimentRow(p, symbols, info.split_type, info.order_2part, count))
+        rows.append(ExperimentRow(p, symbols, split_type, part, _reference_count(c, split_type, part)))
     return rows
 
 
 def _reference_real_pair(l1, l2, bound, wide):
-    f = QuadFieldSpec.from_disc_values([l1, l2])
-    c = cl2_order(f, wide)
+    table = _ClassTable(l1 * l2)
+    c = _reference_c(table, wide)
     checked, bad = 0, []
     for p in primes_up_to(bound):
         if kronecker(l1, p) != -1 or kronecker(l2, p) != -1:
             continue
         checked += 1
-        if _count_in_l(c, prime_class_info(f.discriminant, p, wide=wide)) != 2:
+        if _reference_count(c, *_reference_info(table, p, wide)) != 2:
             bad.append(p)
     return checked, bad
 
 
 def _reference_imag_triple(ordered, bound, wide):
     d = ordered.discriminant
-    group = wide_class_group(d) if wide else narrow_class_group(d)
+    table = _ClassTable(d)
+    max_cyclic = table.group(wide).max_cyclic_2power
     checked, bad = 0, []
     for p in primes_up_to(bound):
         if d % p == 0:
             continue
         checked += 1
-        info = prime_class_info(d, p, wide=wide)
-        two_primes_in_l = info.split_type == "split" and info.order_2part == group.max_cyclic_2power
+        split_type, part = _reference_info(table, p, wide)
+        two_primes_in_l = split_type == "split" and part == max_cyclic
         predicted = tuple(kronecker(v, p) for v in ordered.values()) in {(1, -1, -1), (-1, 1, -1)}
         if two_primes_in_l != predicted:
             bad.append(p)

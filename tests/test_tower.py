@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 
@@ -13,6 +14,7 @@ from twotower.arith import (
 )
 from twotower.errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet
 from twotower.quadforms import _class_number_neg, _table, narrow_class_group, wide_class_group
+from twotower.redei import four_rank_narrow
 from twotower.search import complete_tuple, dmw_family
 from twotower.tower import (
     CRITERIA,
@@ -20,7 +22,10 @@ from twotower.tower import (
     ThresholdCheck,
     Witness,
     _base_fields,
+    _bound_check,
+    _genus_witnesses,
     _kind,
+    _witnesses,
     analyze,
     base_field_certificate,
     cl2_order,
@@ -163,6 +168,51 @@ def test_analyze_factors_no_base_field(monkeypatch):
         analyze(k)
         assert _table.cache_info().misses > 0, k
         assert calls == [], (k, calls)
+
+
+def _genus_oracle_fields():
+    """Every imaginary F with 2 to 4 prime discs and |d_F| <= 2e4, and every
+    real F of two or more positive discs with d_F <= 2e4."""
+    for n in range(3, 20001):
+        for d in (-n, n):
+            if not is_fundamental(d):
+                continue
+            f = prime_disc_factorization(d)
+            if 2 <= f.t <= 4 and (d < 0 or min(f.values()) > 0):
+                yield f
+
+
+def test_genus_path_matches_class_groups():
+    # Where F's Redei 4-rank is 0, genus theory gives c = 2^(t-1) and every
+    # witness: each must match the class number count and the prime classes
+    # (form powering for d < 0, the class table for d > 0), at every odd
+    # prime up to 500 prime to d_F and at 2 when it is unramified.
+    primes = primes_up_to(500)
+    on_path = {True: 0, False: 0}
+    for f in _genus_oracle_fields():
+        d = f.discriminant
+        rest = [q for q in primes if d % q]
+        genus = _genus_witnesses(f, rest)
+        if four_rank_narrow(f):
+            assert genus is None, f
+            continue
+        c = cl2_order(f)
+        assert c == 2 ** (f.t - 1), f
+        assert genus == (c, _witnesses(f, c, rest)), f
+        on_path[d < 0] += 1
+    assert on_path[True] > 1000 and on_path[False] > 100, on_path
+
+
+def test_genus_path_keeps_real_f_with_a_negative_disc_on_tables():
+    # F = (-3, -7), d = 21, has Redei 4-rank 0, but its narrow group C2
+    # collapses to a trivial wide group, so genus theory does not fix c.
+    f = QuadFieldSpec.from_disc_values([-3, -7])
+    k = QuadFieldSpec.from_disc_values([-3, -7, 5, -11, 13])
+    assert four_rank_narrow(f) == 0
+    assert (cl2_order(f, wide=False), cl2_order(f)) == (2, 1)
+    assert _genus_witnesses(f, [5, 11, 13]) is None
+    wit = _witnesses(f, 1, [5, 11, 13])
+    assert kl_rank_lower_bound(k, f) == _bound_check(f, 1, wit).lhs
 
 
 def test_kl_rank_lower_bound_example():
@@ -385,6 +435,36 @@ def test_one_evaluator_for_analyze_lemmas_and_kl_bound():
             else:
                 assert got is None, (k, f)
     assert certified > 0 and also > 0
+
+
+def _pinned_fields():
+    """60 seeded imaginary fields of each t = 2..6, from prime discs up to 200."""
+    rng = random.Random(18)
+    pool = [-4, 8, -8] + [q if q % 4 == 1 else -q for q in primes_up_to(200)[1:]]
+    for t in range(2, 7):
+        n = 0
+        while n < 60:
+            combo = rng.sample(pool, t)
+            primes = [2 if v in (-4, 8, -8) else abs(v) for v in combo]
+            k = QuadFieldSpec.from_disc_values(combo) if len(set(primes)) == t else None
+            if k is not None and k.is_imaginary:
+                n += 1
+                yield k
+
+
+# sha256 over analyze's JSON on _pinned_fields, taken while every base
+# field's c and witnesses came from class numbers and prime classes.
+ANALYZE_OUTPUT_SHA256 = "e58f67571c83b231da2c697b5abb4d9b786799ee6446fb4f3bb2227a2406d7ba"
+
+
+def test_analyze_output_pinned():
+    h = hashlib.sha256()
+    genus_path = set()
+    for k in _pinned_fields():
+        h.update(analyze(k).to_json().encode())
+        genus_path |= {_genus_witnesses(f, []) is not None for f in _base_fields(k)}
+    assert genus_path == {True, False}
+    assert h.hexdigest() == ANALYZE_OUTPUT_SHA256
 
 
 @pytest.fixture(scope="module")
