@@ -16,10 +16,17 @@ dividing (b^2 - D)/4.  For D > 0 the forms (a, b, c), (c, ...) that follow
 each other on a reduction cycle have |ac| = (D - b^2)/4 < D/4, so every
 cycle holds a form with |a| <= isqrt(D) // 2, and the cycles are walked
 from those forms alone (Buchmann and Vollmer, Binary Quadratic Forms,
-ch. 6).  The group structure is built one Sylow subgroup at a time: for
-p^e || h the p-Sylow subgroup is spanned by the classes x^(h/p^e), its
-cyclic factors are peeled largest first, and the invariant factors
-multiply the factors of equal rank across primes.
+ch. 6).  Their number is known in advance: each root of b^2 = D (mod 4a)
+with 0 < a <= isqrt(D) // 2 gives one of them and its negation
+(-a, b, -c), so the leading coefficients are enumerated only until the
+cycles walked hold them all, which on large D is usually after a small
+share of the a.  Negation commutes with the reduction step, so each walk
+stops at its start f or at -f: at f the negated cycle is a second class,
+met in the same pass, and at -f the rest of the cycle is the negation of
+the half walked.  The group structure is built one Sylow subgroup at a
+time: for p^e || h the p-Sylow subgroup is spanned by the classes
+x^(h/p^e), its cyclic factors are peeled largest first, and the invariant
+factors multiply the factors of equal rank across primes.
 
 Inputs are checked at the public edge: class_number, narrow_class_group,
 wide_class_group and prime_class_info check the bound, then
@@ -150,15 +157,35 @@ def _reduce_indef(a: int, b: int, c: int, d: int) -> tuple[int, int, int]:
     return a, b, c
 
 
+def _half_cycle(
+    f: tuple[int, int, int], d: int, s: int
+) -> tuple[list[tuple[int, int, int]], bool]:
+    """Walk the reduction cycle of a reduced indefinite form f, s = isqrt(d),
+    until it meets f or -f; return the forms walked and whether it met f.
+
+    Write -(a, b, c) for (-a, b, -c).  Then rho(-g) = -rho(g).  So if the
+    walk meets -f, the cycle is the forms walked followed by their
+    negations.  If it meets f, the forms walked are the whole cycle, and
+    their negations are a second cycle: another class.  Each step is _rho
+    with hi = s, since a reduced form has |a| < sqrt(d), and so has every
+    form on its cycle.
+    """
+    a, b, c = f
+    neg = (-a, b, -c)
+    out = [f]
+    while True:
+        b = s - (s + b) % (-2 * c if c < 0 else 2 * c)
+        a, c = c, (b * b - d) // (4 * c)
+        g = (a, b, c)
+        if g == f or g == neg:
+            return out, g == f
+        out.append(g)
+
+
 def _cycle(form: tuple[int, int, int], d: int) -> list[tuple[int, int, int]]:
-    """Full reduction cycle through a reduced indefinite form."""
-    s = isqrt(d)
-    out = [form]
-    cur = _rho(*form, d, s)
-    while cur != form:
-        out.append(cur)
-        cur = _rho(*cur, d, s)
-    return out
+    """Full reduction cycle through a reduced indefinite form, in walk order."""
+    forms, closed = _half_cycle(form, d, isqrt(d))
+    return forms if closed else forms + [(-a, b, -c) for a, b, c in forms]
 
 
 def reduce_form(f: QuadForm) -> QuadForm:
@@ -335,29 +362,18 @@ def _odd_roots(d: int, m: int, spf: Sequence[int], memo: dict[int, list[int]]) -
     return roots
 
 
-_CLASS_NUMBER_CACHE_SIZE = 1024
+def _root_counts(d: int, top: int, low: int) -> tuple[int, list[list[int]], list[int]]:
+    """(n, two, rho) for fundamental d and low <= top.
 
-
-@lru_cache(maxsize=_CLASS_NUMBER_CACHE_SIZE)
-def _class_number_neg(d: int) -> int:
-    """h(d) for a fundamental d < 0: the reduced forms counted, not listed.
-
-    Each root r of b^2 = d (mod 4a) taken mod 2a gives one b in (-a, a] and
-    so one form (a, b, c) with c = (b^2 - d) / (4a) >= |d| / (4a).  While
-    4a^2 < |d|, that is a <= isqrt(|d| - 1) // 2, c > a and every such form
-    is reduced, so those a add the number of roots rho(a).  It is
-    multiplicative: with a = 2^k m and m odd, rho(a) is the number of
-    2-adic roots at k times rho(m), and rho(p^e) is 1 + (d/p) for p not
-    dividing d, 1 for p || d with e = 1 and 0 above.  Only the band
-    4a^2 >= |d| up to sqrt(|d|/3), about 13% of the a, lists its roots and
-    tests c > a or (c == a and b >= 0).  Unchecked: callers prove d
-    fundamental.
+    two is _two_adic_roots(d, top), rho[m] the number of roots of d modulo
+    each odd m <= top (0 at even m), and n the number of pairs (a, r) with
+    1 <= a <= low and r mod 2a a root of r^2 = d (mod 4a).  That number of
+    roots rho(a) is multiplicative: with a = 2^k m and m odd, it is
+    len(two[k]) * rho[m], and rho(p^e) is 1 + (d/p) for p not dividing d,
+    1 for p || d with e = 1 and 0 above.
     """
-    top = isqrt(-d // 3)
-    low = isqrt(-d - 1) // 2
     two = _two_adic_roots(d, top)
     spf = _smallest_prime_factors(top)
-    # rho[m] = number of roots of d modulo each odd m <= top, 0 at even m.
     rho = [0] * (top + 1)
     rho[1] = 1
     for m in range(3, top + 1, 2):
@@ -369,9 +385,31 @@ def _class_number_neg(d: int) -> int:
             rho[m] = rho[p] * rho[q]
         elif d % p:
             rho[m] = rho[q]
-    odd_sums = list(accumulate(rho))
+    odd_sums = list(accumulate(rho[: low + 1]))
+    n = sum(len(roots) * odd_sums[low >> k] for k, roots in enumerate(two))
+    return n, two, rho
+
+
+_CLASS_NUMBER_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=_CLASS_NUMBER_CACHE_SIZE)
+def _class_number_neg(d: int) -> int:
+    """h(d) for a fundamental d < 0: the reduced forms counted, not listed.
+
+    Each root r of b^2 = d (mod 4a) taken mod 2a gives one b in (-a, a] and
+    so one form (a, b, c) with c = (b^2 - d) / (4a) >= |d| / (4a).  While
+    4a^2 < |d|, that is a <= isqrt(|d| - 1) // 2, c > a and every such form
+    is reduced, so those a add the number of roots rho(a), which
+    _root_counts sums.  Only the band 4a^2 >= |d| up to sqrt(|d|/3), about
+    13% of the a, lists its roots and tests c > a or (c == a and b >= 0).
+    Unchecked: callers prove d fundamental.
+    """
+    top = isqrt(-d // 3)
+    low = isqrt(-d - 1) // 2
+    h, two, rho = _root_counts(d, top, low)
+    spf = _smallest_prime_factors(top)
     memo: dict[int, list[int]] = {}
-    h = sum(len(roots) * odd_sums[low >> k] for k, roots in enumerate(two))
     for a in range(low + 1, top + 1):
         k = (a & -a).bit_length() - 1
         m = a >> k
@@ -404,30 +442,45 @@ def _real_cycles(d: int) -> tuple[dict[tuple[int, int, int], int], list[tuple[in
     """index and reps of fundamental d > 0: every reduced form to its class,
     and each class's least form with a > 0.
 
-    Each reduction cycle is walked once, from the first of its forms met with
-    |a| <= isqrt(d) // 2 (module docstring).  For such a every b with
-    s - 2a < b <= s is reduced, so each root of b^2 = d (mod 4a) gives one b.
-    Classes are numbered by their least form, as ascending forms meet them.
+    Every cycle holds a form with |a| <= isqrt(d) // 2 (module docstring).
+    For such an a > 0 every b with s - 2a < b <= s is reduced, so each root
+    of b^2 = d (mod 4a) gives one reduced form, and its negation is reduced
+    too: there are 2n such forms, n from _root_counts.  The leading
+    coefficients a > 0 are enumerated until the cycles walked hold all 2n,
+    and each walk from a form f not yet met stops at f or -f (_half_cycle),
+    registering f's cycle and the negated one in one pass.  Classes are
+    numbered by their least form.
     """
     s = isqrt(d)
-    index: dict[tuple[int, int, int], int] = {}
-    least, reps = [], []
-    for a, roots in _roots_by_leading_coefficient(d, s // 2):
+    half = s // 2
+    # Forms with 0 < a <= half not yet met.  The cycles registered from a
+    # walk hold as many of them as the forms walked hold forms with
+    # |a| <= half, of either sign.
+    left = _root_counts(d, half, half)[0]
+    seen: set[tuple[int, int, int]] = set()
+    classes = []
+    for a, roots in _roots_by_leading_coefficient(d, half):
         lo = s - 2 * a + 1
         for r in roots:
             b = lo + (r - lo) % (2 * a)
-            c = (b * b - d) // (4 * a)
-            for f in ((a, b, c), (-a, b, -c)):
-                if f in index:
-                    continue
-                cyc = _cycle(f, d)
-                for g in cyc:
-                    index[g] = len(least)
-                least.append(min(cyc))
-                reps.append(min(g for g in cyc if g[0] > 0))
-    order = sorted(range(len(least)), key=least.__getitem__)
-    rank = {k: i for i, k in enumerate(order)}
-    return {f: rank[k] for f, k in index.items()}, [reps[k] for k in order]
+            f = (a, b, (b * b - d) // (4 * a))
+            if f in seen:
+                continue
+            forms, closed = _half_cycle(f, d, s)
+            negs = [(-x, y, -z) for x, y, z in forms]
+            seen.update(forms, negs)
+            left -= sum(-half <= g[0] <= half for g in forms)
+            for cyc in (forms, negs) if closed else (forms + negs,):
+                # a > 0 on every other form: its sign alternates on a cycle.
+                classes.append((min(cyc), min(cyc[cyc[0][0] < 0 :: 2]), cyc))
+        if not left:
+            break
+    assert not left, "the cycles walked do not hold the counted small forms"
+    classes.sort()
+    index: dict[tuple[int, int, int], int] = {}
+    for i, (_, _, cyc) in enumerate(classes):
+        index.update(dict.fromkeys(cyc, i))
+    return index, [rep for _, rep, _ in classes]
 
 
 class _ClassTable:
@@ -728,14 +781,16 @@ def wide_class_group(d: int, bound: int | None = None) -> AbelianGroupStructure:
 def negative_pell_solvable(d: int) -> bool:
     """Whether x^2 - d y^2 = -4 has an integer solution (d > 0 fundamental).
 
-    Detected on the principal reduction cycle: solvable exactly when the
-    cycle contains a form with leading coefficient -1.
+    Solvable exactly when the principal class holds a form with leading
+    coefficient -1.  Its cycle holds some (1, b, c), so that is when the
+    cycle is its own negation: when the walk from a reduced principal form
+    f meets -f (_half_cycle).
     """
     if d <= 0:
         raise ValueError("negative Pell detection needs d > 0")
     _check_fundamental(d)
     f = _reduce_indef(*principal_form(d), d)
-    return any(g[0] == -1 for g in _cycle(f, d))
+    return not _half_cycle(f, d, isqrt(d))[1]
 
 
 def _prime_form(d: int, p: int) -> QuadForm:

@@ -1,7 +1,7 @@
 import hashlib
 import os
 import random
-from math import isqrt, prod
+from math import isqrt, log, pi, prod, sin, sqrt
 
 import pytest
 
@@ -27,6 +27,8 @@ from twotower.quadforms import (
     _is_reduced_indef,
     _reduce_indef,
     _reduced_forms_neg,
+    _rho,
+    _root_counts,
     _roots_by_leading_coefficient,
     _prime_info,
     _smallest_prime_factors,
@@ -420,12 +422,18 @@ def _reference_forms_pos(d):
 
 
 def _reference_partition(d):
-    """The b-loop forms of d > 0 split into reduction cycles, classes numbered
-    as the forms ascend, each represented by its least form with a > 0."""
+    """The b-loop forms of d > 0 split into reduction cycles, each walked in
+    full with _rho, classes numbered as the forms ascend, each represented
+    by its least form with a > 0."""
+    s = isqrt(d)
     index, reps = {}, []
     for f in _reference_forms_pos(d):
         if f not in index:
-            cyc = _cycle(f, d)
+            cyc = [f]
+            g = _rho(*f, d, s)
+            while g != f:
+                cyc.append(g)
+                g = _rho(*g, d, s)
             index.update(dict.fromkeys(cyc, len(reps)))
             reps.append(min(g for g in cyc if g[0] > 0))
     return index, reps
@@ -473,17 +481,23 @@ def test_every_real_class_has_a_small_leading_coefficient():
     # |ac| < d/4, so every class holds a form with |a| <= isqrt(d) // 2: the
     # only leading coefficients the table starts its walks from.  That the
     # table misses no class is the b-loop test above; here some class needs
-    # the bound with equality, so it cannot be lowered.
+    # the bound with equality, so it cannot be lowered.  The table stops
+    # enumerating once its cycles hold the n forms of each sign with
+    # |a| <= isqrt(d) // 2 that _root_counts counts, so it must hold exactly
+    # those; on the tight d the enumeration has to reach the last a.
     tight = 0
-    for d in range(5, 20001):
-        if not is_fundamental(d):
-            continue
+    for d in [d for d in range(5, 20001) if is_fundamental(d)] + SEEDED_REAL:
         t = _table(d)
+        top = isqrt(d) // 2
         least = [d] * t.h_plus
+        small = [0, 0]  # forms with a < 0, a > 0
         for (a, _, _), i in t.index.items():
             least[i] = min(least[i], abs(a))
-        top = isqrt(d) // 2
+            if abs(a) <= top:
+                small[a > 0] += 1
+        n = _root_counts(d, top, top)[0]
         assert max(least) <= top, d
+        assert small == [n, n], d
         tight += max(least) == top
     assert tight > 0
 
@@ -813,6 +827,31 @@ def test_known_real_class_numbers():
     for n, h in known.items():
         d = n if n % 4 == 1 else 4 * n
         assert wide_class_group(d).order == h, n
+
+
+def test_real_class_numbers_against_the_analytic_formula():
+    # Dirichlet's class number formula for d > 0, with no form in it:
+    # h log(eps) = -(1/2) sum_{0<a<d} chi_d(a) log sin(pi a / d), eps the
+    # fundamental unit (x + y sqrt(d)) / 2 from sympy's least solution of
+    # x^2 - d y^2 = -4, or of = +4 when -4 has none.  chi_d is even, so the
+    # sum is twice the one over a < d/2.  The narrow group is twice the wide
+    # one exactly when -4 has no solution.
+    diophantine = pytest.importorskip("sympy.solvers.diophantine.diophantine")
+    count = 0
+    for d in range(5, 3001):
+        if not is_fundamental(d):
+            continue
+        minus = [(abs(x), abs(y)) for x, y in diophantine.diop_DN(d, -4) if y]
+        x, y = min(minus or [(abs(x), abs(y)) for x, y in diophantine.diop_DN(d, 4) if y])
+        log_eps = log((x + y * sqrt(d)) / 2)
+        s = sum(kronecker(d, a) * log(sin(pi * a / d)) for a in range(1, (d + 1) // 2))
+        h = round(-s / log_eps)
+        assert abs(h + s / log_eps) < 1e-6, d
+        assert class_number(d) == h, d
+        assert class_number(d, wide=False) == (h if minus else 2 * h), d
+        assert negative_pell_solvable(d) == bool(minus), d
+        count += 1
+    assert count == 909
 
 
 def test_analytic_class_number_formula():
