@@ -17,7 +17,7 @@ from . import search as search_mod
 from . import splitlab
 from .arith import QuadFieldSpec, prime_disc_factorization
 from .errors import TwoTowerError
-from .quadforms import narrow_class_group, wide_class_group
+from .quadforms import _ENV_MAX_DISC, narrow_class_group, wide_class_group
 from .redei import catalog_text
 from .tower import analyze, cl2_order
 
@@ -201,13 +201,21 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # The bound reaches the library through the environment; the caller's
+    # value, or its absence, is put back when the command returns.
+    saved = os.environ.get(_ENV_MAX_DISC)
     if args.max_disc is not None:
-        os.environ["TWO_TOWER_MAX_DISC"] = str(args.max_disc)
+        os.environ[_ENV_MAX_DISC] = str(args.max_disc)
     try:
         return args.fn(args)
     except (TwoTowerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        if saved is None:
+            os.environ.pop(_ENV_MAX_DISC, None)
+        else:
+            os.environ[_ENV_MAX_DISC] = saved
 
 
 if __name__ == "__main__":

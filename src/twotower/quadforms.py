@@ -7,15 +7,18 @@ D < 0, and for D > 0 exactly when x^2 - D y^2 = -4 is solvable).
 
 Reduced forms are enumerated by leading coefficient: for each a up to
 sqrt(|D|/3) (D < 0) or isqrt(D) // 2 (D > 0), the b with b^2 = D (mod 4a)
-come from the square roots of D modulo 4a, built multiplicatively from
-roots modulo prime powers (Hensel lifting, CRT, a shared
-smallest-prime-factor table), and the reduction inequalities keep at most
-one b per root.  That costs O(sqrt|D| * 2^omega) steps, omega the number
-of prime factors of a, instead of the O(|D|) of looping over b and
-dividing (b^2 - D)/4.  For D > 0 the forms (a, b, c), (c, ...) that follow
-each other on a reduction cycle have |ac| = (D - b^2)/4 < D/4, so every
-cycle holds a form with |a| <= isqrt(D) // 2, and the cycles are walked
-from those forms alone (Buchmann and Vollmer, Binary Quadratic Forms,
+come from the square roots of D modulo 4a, and the reduction inequalities
+keep at most one b per root.  One lister (_roots_by_leading_coefficient)
+serves every enumeration: the multiplicative root count rho
+(_root_counts) picks the a that have roots, and the roots modulo the odd
+part m of a are built from roots modulo prime powers (Hensel lifting, a
+shared smallest-prime-factor table) joined by CRT, memoized by modulus so
+that each m costs one CRT step.  That costs O(sqrt|D| * 2^omega) steps,
+omega the number of prime factors of a, instead of the O(|D|) of looping
+over b and dividing (b^2 - D)/4.  For D > 0 the forms (a, b, c), (c, ...)
+that follow each other on a reduction cycle have |ac| = (D - b^2)/4 < D/4,
+so every cycle holds a form with |a| <= isqrt(D) // 2, and the cycles are
+walked from those forms alone (Buchmann and Vollmer, Binary Quadratic Forms,
 ch. 6).  Their number is known in advance: each root of b^2 = D (mod 4a)
 with 0 < a <= isqrt(D) // 2 gives one of them and its negation
 (-a, b, -c), so the leading coefficients are enumerated only until the
@@ -36,8 +39,8 @@ _prime_info trust their callers, which check at least the bound.
 _class_number is the cheap path.  For D < 0 it counts the reduced forms
 without listing them (_class_number_neg, an LRU cache of ints): while
 4a^2 < |D| each root of b^2 = D (mod 4a) is one reduced form, so those a
-add a multiplicative root count with one residue test per odd prime, and
-only the band 4a^2 >= |D|, about 13% of the a, is checked form by form.
+add the root count rho, and only the band 4a^2 >= |D|, about 13% of the
+a, goes through the lister and is checked form by form.
 A reduced form labels its class, so an imaginary field needs no table
 for h or for prime classes: _prime_info powers prime forms
 (_order_2part_neg).  For D > 0 both read the class table.  Tables sit in
@@ -270,26 +273,6 @@ def _is_residue(d: int, p: int) -> bool:
     return pow(d, (p - 1) // 2, p) == 1
 
 
-def _prime_power_roots(d: int, p: int, pe: int, lower: list[int]) -> list[int]:
-    """Square roots of d modulo pe = p^e for an odd prime p and fundamental d.
-
-    lower holds the roots modulo pe // p, used when e >= 2.
-    """
-    if d % p == 0:
-        return [0] if pe == p else []
-    if pe == p:
-        if not _is_residue(d, p):
-            return []
-        x = _sqrt_of_residue(d % p, p)
-    elif lower:
-        # One Newton (Hensel) step doubles the precision of a root.
-        y = lower[0]
-        x = (y - (y * y - d) * pow(2 * y, -1, pe)) % pe
-    else:
-        return []
-    return [x, pe - x]
-
-
 def _two_adic_roots(d: int, top: int) -> list[list[int]]:
     """Entry k lists each r mod 2^(k+1) with r^2 = d (mod 2^(k+2)), for 2^k <= top.
 
@@ -306,60 +289,63 @@ def _two_adic_roots(d: int, top: int) -> list[list[int]]:
     return two
 
 
-def _roots_by_leading_coefficient(d: int, top: int):
-    """Yield (a, roots) for 1 <= a <= top, skipping every a without a root;
-    roots lists each r mod 2a with r^2 = d (mod 4a).
+def _prime_power_roots(d: int, p: int, pe: int, lower: list[int]) -> list[int]:
+    """Square roots of d modulo pe = p^e for an odd prime p and fundamental d.
 
-    For fundamental d.  The roots are built multiplicatively: with a = 2^k m
-    and m odd, the roots mod 2^(k+1) come from _two_adic_roots; the roots
-    mod m join, by CRT, the roots mod m's largest power of its least prime
-    and the roots mod the rest, both smaller odd numbers met before.
+    lower holds the roots modulo pe // p.  No residue test is made here:
+    callers ask only where rho (_root_counts) has found roots, and a
+    non-residue still raises NoSquareRoot at e = 1, where _sqrt_of_residue
+    checks its root by squaring.  For p | d only e = 1 has a root.
     """
-    two = _two_adic_roots(d, top)
-    spf = _smallest_prime_factors(top)
-    odd: dict[int, list[int]] = {1: [0]}
-    for m in range(1, top + 1, 2):
-        if m > 1:
-            p = pe = spf[m]
-            while m % (pe * p) == 0:
-                pe *= p
-            if pe == m:
-                odd[m] = _prime_power_roots(d, p, pe, odd[pe // p])
-            elif odd[pe] and odd[m // pe]:
-                odd[m] = _crt(odd[pe], pe, odd[m // pe], m // pe)
-            else:
-                odd[m] = []
-        roots_m = odd[m]
-        if not roots_m:
-            continue
-        for k, roots_2k in enumerate(two):
-            a = m << k
-            if a > top:
-                break
-            yield a, _crt(roots_2k, 2 << k, roots_m, m)
+    if d % p == 0:
+        return [0] if pe == p else []
+    if pe == p:
+        x = _sqrt_of_residue(d % p, p)
+    else:
+        # One Newton (Hensel) step doubles the precision of a root.
+        y = lower[0]
+        x = (y - (y * y - d) * pow(2 * y, -1, pe)) % pe
+    return [x, pe - x]
 
 
 def _odd_roots(d: int, m: int, spf: Sequence[int], memo: dict[int, list[int]]) -> list[int]:
-    """Square roots of d modulo an odd m, joined by CRT over m's prime powers.
+    """Square roots of d modulo an odd m that has some, memoized by modulus.
 
-    memo keeps the roots modulo each prime power, for reuse with the same d.
+    memo starts as {1: [0]}.  The roots mod m join, by CRT, the roots mod
+    m's largest power pe of its least prime and the roots mod m // pe, so a
+    modulus whose parts are in memo costs one CRT step.
     """
-    roots, mod = [0], 1
-    while m > 1:
+    roots = memo.get(m)
+    if roots is None:
         p = pe = spf[m]
-        if p not in memo:
-            memo[p] = _prime_power_roots(d, p, p, [])
-        lower = memo[p]
-        m //= p
-        while m % p == 0:
+        while m % (pe * p) == 0:
             pe *= p
-            m //= p
-            if pe not in memo:
-                memo[pe] = _prime_power_roots(d, p, pe, lower)
-            lower = memo[pe]
-        roots = _crt(roots, mod, lower, pe)
-        mod *= pe
+        if pe == m:
+            roots = _prime_power_roots(d, p, pe, _odd_roots(d, pe // p, spf, memo))
+        else:
+            q = m // pe
+            roots = _crt(_odd_roots(d, pe, spf, memo), pe, _odd_roots(d, q, spf, memo), q)
+        memo[m] = roots
     return roots
+
+
+def _roots_by_leading_coefficient(
+    d: int, start: int, top: int, two: list[list[int]], rho: list[int]
+):
+    """Yield (a, roots) for start <= a <= top, skipping every a without a
+    root; roots lists each r mod 2a with r^2 = d (mod 4a).
+
+    For fundamental d, with two and rho from _root_counts(d, top, ...).
+    With a = 2^k m and m odd, a has roots when two[k] exists and rho[m] > 0;
+    the roots mod 2^(k+1) are two[k], and those mod m come from _odd_roots.
+    """
+    spf = _smallest_prime_factors(top)
+    memo = {1: [0]}
+    for a in range(start, top + 1):
+        k = (a & -a).bit_length() - 1
+        m = a >> k
+        if k < len(two) and rho[m]:
+            yield a, _crt(two[k], 2 << k, _odd_roots(d, m, spf, memo), m)
 
 
 def _root_counts(d: int, top: int, low: int) -> tuple[int, list[list[int]], list[int]]:
@@ -370,7 +356,9 @@ def _root_counts(d: int, top: int, low: int) -> tuple[int, list[list[int]], list
     1 <= a <= low and r mod 2a a root of r^2 = d (mod 4a).  That number of
     roots rho(a) is multiplicative: with a = 2^k m and m odd, it is
     len(two[k]) * rho[m], and rho(p^e) is 1 + (d/p) for p not dividing d,
-    1 for p || d with e = 1 and 0 above.
+    1 for p || d with e = 1 and 0 above.  Its one residue test per odd
+    prime is the only one: two and rho tell _roots_by_leading_coefficient
+    which a have roots, so no root is ever sought where there is none.
     """
     two = _two_adic_roots(d, top)
     spf = _smallest_prime_factors(top)
@@ -402,40 +390,32 @@ def _class_number_neg(d: int) -> int:
     4a^2 < |d|, that is a <= isqrt(|d| - 1) // 2, c > a and every such form
     is reduced, so those a add the number of roots rho(a), which
     _root_counts sums.  Only the band 4a^2 >= |d| up to sqrt(|d|/3), about
-    13% of the a, lists its roots and tests c > a or (c == a and b >= 0).
+    13% of the a, lists its reduced forms (_reduced_neg).
     Unchecked: callers prove d fundamental.
     """
     top = isqrt(-d // 3)
     low = isqrt(-d - 1) // 2
     h, two, rho = _root_counts(d, top, low)
-    spf = _smallest_prime_factors(top)
-    memo: dict[int, list[int]] = {}
-    for a in range(low + 1, top + 1):
-        k = (a & -a).bit_length() - 1
-        m = a >> k
-        if k >= len(two) or not rho[m]:
-            continue
-        for r in _crt(two[k], 2 << k, _odd_roots(d, m, spf, memo), m):
-            b = r - 2 * a if r > a else r
-            c = (b * b - d) // (4 * a)
-            if c > a or (c == a and b >= 0):
-                h += 1
-    return h
+    return h + sum(1 for _ in _reduced_neg(d, low + 1, two, rho))
 
 
-def _reduced_forms_neg(d: int) -> list[tuple[int, int, int]]:
-    """All reduced forms of fundamental d < 0, ascending."""
-    out = []
-    for a, roots in _roots_by_leading_coefficient(d, isqrt(-d // 3)):
+def _reduced_neg(d: int, start: int, two: list[list[int]], rho: list[int]):
+    """Yield the reduced forms (a, b, c) of fundamental d < 0 with a >= start,
+    two and rho from _root_counts(d, isqrt(-d // 3), ...)."""
+    for a, roots in _roots_by_leading_coefficient(d, start, isqrt(-d // 3), two, rho):
         for r in roots:
             # The one b = r (mod 2a) with -a < b <= a; reduced needs a <= c,
             # and b >= 0 when a == c.
             b = r - 2 * a if r > a else r
             c = (b * b - d) // (4 * a)
             if c > a or (c == a and b >= 0):
-                out.append((a, b, c))
-    out.sort()
-    return out
+                yield a, b, c
+
+
+def _reduced_forms_neg(d: int) -> list[tuple[int, int, int]]:
+    """All reduced forms of fundamental d < 0, ascending."""
+    _, two, rho = _root_counts(d, isqrt(-d // 3), 0)
+    return sorted(_reduced_neg(d, 1, two, rho))
 
 
 def _real_cycles(d: int) -> tuple[dict[tuple[int, int, int], int], list[tuple[int, int, int]]]:
@@ -446,20 +426,21 @@ def _real_cycles(d: int) -> tuple[dict[tuple[int, int, int], int], list[tuple[in
     For such an a > 0 every b with s - 2a < b <= s is reduced, so each root
     of b^2 = d (mod 4a) gives one reduced form, and its negation is reduced
     too: there are 2n such forms, n from _root_counts.  The leading
-    coefficients a > 0 are enumerated until the cycles walked hold all 2n,
-    and each walk from a form f not yet met stops at f or -f (_half_cycle),
-    registering f's cycle and the negated one in one pass.  Classes are
-    numbered by their least form.
+    coefficients a > 0 that rho gives roots are listed by
+    _roots_by_leading_coefficient, with the roots mod odd m memoized by
+    modulus, until the cycles walked hold all 2n, and each walk from a form
+    f not yet met stops at f or -f (_half_cycle), registering f's cycle and
+    the negated one in one pass.  Classes are numbered by their least form.
     """
     s = isqrt(d)
     half = s // 2
     # Forms with 0 < a <= half not yet met.  The cycles registered from a
     # walk hold as many of them as the forms walked hold forms with
     # |a| <= half, of either sign.
-    left = _root_counts(d, half, half)[0]
+    left, two, rho = _root_counts(d, half, half)
     seen: set[tuple[int, int, int]] = set()
     classes = []
-    for a, roots in _roots_by_leading_coefficient(d, half):
+    for a, roots in _roots_by_leading_coefficient(d, 1, half, two, rho):
         lo = s - 2 * a + 1
         for r in roots:
             b = lo + (r - lo) % (2 * a)

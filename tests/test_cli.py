@@ -182,14 +182,21 @@ def test_catalog_cli(capsys):
 
 
 def test_max_disc_flag(capsys):
-    # main() writes the flag into the process env; restore it by hand
-    # (monkeypatch would re-instate the leaked value at teardown).
+    # main() writes the flag into the process env while the command runs;
+    # the cleanup below still guards the other tests against a leak.
     import os
 
     saved = os.environ.pop("TWO_TOWER_MAX_DISC", None)
     try:
         code, _, err = run(capsys, "--max-disc", "100", "classgroup", "--", "-399")
         assert code == 2 and "bound 100" in err
+        # main() puts the caller's environment back: unset, then a value.
+        assert "TWO_TOWER_MAX_DISC" not in os.environ
+        assert run(capsys, "classgroup", "--", "-399")[0] == 0
+        os.environ["TWO_TOWER_MAX_DISC"] = "1000"
+        code, _, err = run(capsys, "--max-disc", "100", "classgroup", "--", "-399")
+        assert code == 2 and "bound 100" in err
+        assert os.environ["TWO_TOWER_MAX_DISC"] == "1000"
     finally:
         os.environ.pop("TWO_TOWER_MAX_DISC", None)
         if saved is not None:

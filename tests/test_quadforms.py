@@ -15,6 +15,7 @@ from twotower.arith import (
 from twotower.errors import (
     BoundExceeded,
     DiscriminantMismatch,
+    NoSquareRoot,
     NotFundamental,
     SquareDiscriminant,
 )
@@ -25,6 +26,7 @@ from twotower.quadforms import (
     _class_number_neg,
     _cycle,
     _is_reduced_indef,
+    _odd_roots,
     _reduce_indef,
     _reduced_forms_neg,
     _rho,
@@ -456,7 +458,9 @@ SEEDED_REAL = _seeded_fundamentals(67, 10**7, 10**8, 6, signs=(1,))
 
 def _check_against_reference(d):
     if d < 0:
-        assert _reduced_forms_neg(d) == _reference_forms_neg(d), d
+        forms = _reference_forms_neg(d)
+        assert _reduced_forms_neg(d) == forms, d
+        assert _class_number_neg(d) == len(forms), d
         return
     t = _table(d)
     index, reps = _reference_partition(d)
@@ -520,20 +524,46 @@ def test_group_structures_pinned():
 
 
 def test_leading_coefficient_roots_against_sympy():
+    # Every a from 1, as the tables list them, and a band from start > 1 up,
+    # as _class_number_neg lists it: each a listed has its roots and no
+    # other, and every a left out has none.
     sympy_ntheory = pytest.importorskip("sympy.ntheory")
     ds = [-3, -4, -8, 5, 8, 12, -399, 904, -2379, 2305]
     ds += _seeded_fundamentals(43, 10**3, 10**8, 24)
     rng = random.Random(47)
     for d in ds:
         top = isqrt(abs(d))
-        got = dict(_roots_by_leading_coefficient(d, top))
-        assert all(1 <= a <= top and roots for a, roots in got.items()), d
-        sample = rng.sample(range(1, top + 1), min(top, 60))
-        for a in sorted({*range(1, min(top, 200) + 1), *sample}):
-            want = {r % (2 * a) for r in sympy_ntheory.sqrt_mod_iter(d % (4 * a), 4 * a)}
-            roots = got.get(a, [])
-            assert len(roots) == len(set(roots)), (d, a)
-            assert set(roots) == want, (d, a)
+        _, two, rho = _root_counts(d, top, top)
+        for start in (1, isqrt(abs(d) - 1) // 2 + 1):
+            got = dict(_roots_by_leading_coefficient(d, start, top, two, rho))
+            assert all(start <= a <= top and roots for a, roots in got.items()), d
+            sample = rng.sample(range(start, top + 1), min(top + 1 - start, 60))
+            for a in sorted({*range(start, min(top, start + 199) + 1), *sample}):
+                want = {r % (2 * a) for r in sympy_ntheory.sqrt_mod_iter(d % (4 * a), 4 * a)}
+                roots = got.get(a, [])
+                assert len(roots) == len(set(roots)), (d, a)
+                assert set(roots) == want, (d, a)
+
+
+def test_odd_roots_of_moduli_without_roots():
+    # The lister asks only for moduli that rho says have roots, so the roots
+    # mod an odd m make no residue test of their own.  Asked anyway, a prime
+    # p where d is a non-residue and p^2 for p | d must raise NoSquareRoot
+    # or give no roots, never a wrong root.
+    cases = 0
+    for d in [-3, -4, -8, 5, 8, 12, -399, 904, -2379, 2305, -99999636, 99998185]:
+        if not is_fundamental(d):
+            continue
+        for p in primes_up_to(200)[1:]:
+            moduli = [p, p * p] if kronecker(d, p) == -1 else [p * p] if d % p == 0 else []
+            for m in moduli:
+                cases += 1
+                try:
+                    roots = _odd_roots(d, m, _smallest_prime_factors(m), {1: [0]})
+                except NoSquareRoot:
+                    continue
+                assert all((r * r - d) % m == 0 for r in roots), (d, m, roots)
+    assert cases > 100
 
 
 def test_class_number_counts_reduced_forms():
