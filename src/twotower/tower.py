@@ -18,14 +18,14 @@ compares.
 
 A base field's discriminant is a QuadFieldSpec's, fundamental by
 construction, so only its bound is checked and no base field is factored.
-An F of narrow Redei 4-rank 0 that is imaginary, or real with every disc
-positive, is settled by genus theory (_genus_witnesses): |Cl_2(F)| is
-2^(t_F - 1) and each witness's type and order 2-part follow from the
-Redei entries of F's discs at the witness, the cached Kronecker symbols
-of K's own Redei matrix.  Every other F counts its class number: for an
-imaginary F no class table is built, h is counted once on reduced forms
-(cached) and each witness's order 2-part comes from powering its prime
-form; a real F reads both off its class table.
+Every F of narrow Redei 4-rank 0, of either sign, is settled by one
+genus-theory rule (_genus_witnesses): |Cl_2(F)| is 2 to F's wide 2-rank,
+and each witness's type and order 2-part follow from the Redei entries of
+F's discs at the witness, the cached Kronecker symbols of K's own Redei
+matrix, compared with F's sign vector.  An F of 4-rank above 0 counts its
+class number: for an imaginary F no class table is built, h is counted
+once on reduced forms (cached) and each witness's order 2-part comes from
+powering its prime form; a real F reads both off its class table.
 """
 
 from __future__ import annotations
@@ -209,6 +209,20 @@ def _witnesses(f: QuadFieldSpec, c: int, primes) -> tuple[Witness, ...]:
 
 
 def _bound_check(f: QuadFieldSpec, c: int, witnesses) -> ThresholdCheck:
+    """Golod-Shafarevich on KL from F's c = |Cl_2(F)| and witnesses.
+
+    L is the Hilbert 2-class field of F, of degree 2c over Q, and KL/L is
+    quadratic.  Roquette-Zassenhaus (as in Schoof, J. reine angew. Math.
+    372 (1986)) bounds d2 Cl(KL) below by the places of L that ramify in
+    KL, less 1, less d2(E_L).  The finite ones lie over K's primes
+    unramified in F, and the witness counts sum to them.  A real F has a
+    totally real L of 2c real places, all ramified in the imaginary KL,
+    which cancel d2(E_L) = 2c; an imaginary F has a totally complex L with
+    d2(E_L) = c, so c is subtracted.  KL is totally complex of degree 4c,
+    so its unit 2-rank is 2c, and Golod-Shafarevich at 2c gives the
+    required d2.  The CRITERIA minima on c and the witnesses play no part
+    in this soundness.
+    """
     total = sum(w.count_in_l for w in witnesses)
     imaginary = f.discriminant < 0
     lhs = total - 1 - (c if imaginary else 0)
@@ -291,44 +305,54 @@ def _checked_base(k: QuadFieldSpec, f: QuadFieldSpec) -> QuadFieldSpec:
     return QuadFieldSpec(discs)
 
 
-# A split prime's class info under _genus_witnesses: in the principal genus or not.
+# A split prime's class info under _genus_witnesses: order 2-part 1 when its
+# Redei entries are 0 or F's sign vector, else 2.
 _GENUS_SPLIT = (PrimeClassInfo("split", 1), PrimeClassInfo("split", 2))
 
 
 def _genus_witnesses(f: QuadFieldSpec, primes) -> tuple[int, tuple[Witness, ...]] | None:
-    """(|Cl_2(F)|, witnesses at primes) by genus theory alone, or None.
+    """(|Cl_2(F)|, witnesses at primes) by genus theory alone; None when F's
+    narrow Redei 4-rank is above 0.
 
-    Applies when F is imaginary, or real with every disc positive, and F's
-    narrow Redei 4-rank is 0.  With t = F.t and d_1..d_t F's discs:
+    With t = F.t, d_1..d_t F's discs and s the F2 vector with s_i = 1
+    exactly when d_i < 0:
 
-    - Elementary Cl_2.  Genus theory gives the narrow 2-rank t - 1, and
-      Redei-Reichardt the narrow 4-rank t - 1 - rank(R_F), here 0.  So the
-      narrow Cl_2 is elementary abelian of order 2^(t-1).
-    - Wide = narrow.  For F imaginary the two groups are one.  For F real
-      with every d_i > 0, d_F is a sum of two squares, so the wide 2-rank
-      is also t - 1 (two_ranks): |Cl_2| >= 2^(t-1) = |Cl_2^+|, and
-      Cl^+ -> Cl, onto with kernel of order h^+/h, is an isomorphism.
-      A real F with a negative disc is refused: there wide may be smaller
-      (d = 21: narrow C2, wide trivial).
+    - Elementary narrow Cl_2.  Genus theory gives the narrow 2-rank t - 1,
+      and Redei-Reichardt the narrow 4-rank t - 1 - rank(R_F), here 0.  So
+      the narrow Cl_2 is elementary abelian of order 2^(t-1).
+    - c from the wide 2-rank.  Cl^+ -> Cl is onto, and its kernel is
+      generated by the narrow class k of a principal ideal whose generator
+      has negative norm.  So the wide Cl_2 is the elementary narrow one
+      modulo a subgroup of order 1 or 2, itself elementary, and c is 2 to
+      its wide 2-rank, which two_ranks derives.  For F imaginary k is
+      trivial and c = 2^(t-1).  For F real with every d_i > 0, d_F is a sum
+      of two squares, the wide 2-rank is t - 1, and so c = 2^(t-1) and k is
+      trivial too.  For F real with a negative disc, d_F is no sum of two
+      squares, the wide 2-rank is t - 2, and c = 2^(t-2): k is not trivial.
     - Genus characters as Kronecker symbols.  At a prime q not dividing
       d_F the genus characters of a prime of F above q are the symbols
       (d_i/q), whose F2 entries a_i = _entry(d_i, q) are Redei entries of
       K when F's discs and q are K's.  (d_F/q) is their product, so q is
-      inert iff sum a_i is odd; an inert prime is principal: order 2-part
-      1, count c.  A split prime's class is a square iff every character
-      is trivial (principal genus theorem), and in an elementary Cl_2 the
-      2-part of its order is then 1, else 2; _count_in_l gives the count.
+      inert iff sum a_i is odd; an inert prime is principal, generated by
+      the positive q: order 2-part 1, count c.
+    - Frobenius test.  The kernel of the genus characters is the square
+      classes, so with the narrow Cl_2 elementary a narrow class's 2-part
+      is fixed by its characters, and k's are the signs of the d_i (the
+      characters at -1): entries s.  So a split prime's wide class has
+      order 2-part 1 exactly when a is 0 or s, and 2 otherwise;
+      _count_in_l gives the count.  No sign case is needed: for F
+      imaginary sum s_i is odd, so a = s is inert and never reaches the
+      test; for F real with every d_i > 0, s is 0.
     """
     values = f.values()
-    if f.discriminant > 0 and any(v < 0 for v in values):
-        return None
     if _four_rank(redei_matrix(f)):
         return None
-    c = 1 << (f.t - 1)
+    c = 1 << two_ranks(f)[1]
+    s = [int(v < 0) for v in values]
     out = []
     for q in primes:
         a = [_entry(v, q) for v in values]
-        info = _INERT if sum(a) % 2 else _GENUS_SPLIT[any(a)]
+        info = _INERT if sum(a) % 2 else _GENUS_SPLIT[any(a) and a != s]
         out.append(Witness(q, info.split_type, info.order_2part, _count_in_l(c, info)))
     return c, tuple(out)
 
@@ -336,11 +360,11 @@ def _genus_witnesses(f: QuadFieldSpec, primes) -> tuple[int, tuple[Witness, ...]
 def _evaluate(k: QuadFieldSpec, f: QuadFieldSpec):
     """(|Cl_2(F)|, the witnesses at K's primes unramified in F, the bound check).
 
-    Past F's bound check, F of Redei 4-rank 0 whose wide and narrow groups
-    agree is read off genus theory (_genus_witnesses): no class number, no
-    table and no form powering.  Every other F counts h (cl2_order; wide,
-    as L = F^1_(2) is unramified at infinity too) and looks up each
-    witness's class (_witnesses).
+    Past F's bound check, F of narrow Redei 4-rank 0, of either sign, is
+    read off genus theory (_genus_witnesses): no class number, no table and
+    no form powering.  An F of 4-rank above 0 counts h (cl2_order; wide, as
+    L = F^1_(2) is unramified at infinity too) and looks up each witness's
+    class (_witnesses).
     """
     rest = [d.prime for d in k.discs if d not in f.discs]
     _check_bound(f.discriminant)

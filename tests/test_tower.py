@@ -14,7 +14,7 @@ from twotower.arith import (
 )
 from twotower.errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet
 from twotower.quadforms import _class_number_neg, _table, narrow_class_group, wide_class_group
-from twotower.redei import four_rank_narrow
+from twotower.redei import four_rank_narrow, two_ranks
 from twotower.search import complete_tuple, dmw_family
 from twotower.tower import (
     CRITERIA,
@@ -171,24 +171,24 @@ def test_analyze_factors_no_base_field(monkeypatch):
 
 
 def _genus_oracle_fields():
-    """Every imaginary F with 2 to 4 prime discs and |d_F| <= 2e4, and every
-    real F of two or more positive discs with d_F <= 2e4."""
+    """Every F, imaginary or real, with 2 to 4 prime discs and |d_F| <= 2e4."""
     for n in range(3, 20001):
         for d in (-n, n):
             if not is_fundamental(d):
                 continue
             f = prime_disc_factorization(d)
-            if 2 <= f.t <= 4 and (d < 0 or min(f.values()) > 0):
+            if 2 <= f.t <= 4:
                 yield f
 
 
 def test_genus_path_matches_class_groups():
-    # Where F's Redei 4-rank is 0, genus theory gives c = 2^(t-1) and every
-    # witness: each must match the class number count and the prime classes
-    # (form powering for d < 0, the class table for d > 0), at every odd
-    # prime up to 500 prime to d_F and at 2 when it is unramified.
+    # Where F's Redei 4-rank is 0, genus theory gives c = 2^(wide 2-rank)
+    # and every witness: each must match the class number count and the
+    # prime classes (form powering for d < 0, the class table for d > 0),
+    # at every odd prime up to 500 prime to d_F and at 2 when it is
+    # unramified.
     primes = primes_up_to(500)
-    on_path = {True: 0, False: 0}
+    on_path = {"imaginary": 0, "real": 0, "real, a negative disc": 0}
     for f in _genus_oracle_fields():
         d = f.discriminant
         rest = [q for q in primes if d % q]
@@ -197,21 +197,25 @@ def test_genus_path_matches_class_groups():
             assert genus is None, f
             continue
         c = cl2_order(f)
-        assert c == 2 ** (f.t - 1), f
+        assert c == 2 ** two_ranks(f)[1], f
         assert genus == (c, _witnesses(f, c, rest)), f
-        on_path[d < 0] += 1
-    assert on_path[True] > 1000 and on_path[False] > 100, on_path
+        negative = min(f.values()) < 0
+        on_path["imaginary" if d < 0 else "real, a negative disc" if negative else "real"] += 1
+    assert on_path["imaginary"] > 1000, on_path
+    assert on_path["real"] > 100, on_path
+    assert on_path["real, a negative disc"] > 3000, on_path
 
 
-def test_genus_path_keeps_real_f_with_a_negative_disc_on_tables():
-    # F = (-3, -7), d = 21, has Redei 4-rank 0, but its narrow group C2
-    # collapses to a trivial wide group, so genus theory does not fix c.
+def test_genus_path_gives_real_f_with_a_negative_disc_its_wide_group():
+    # F = (-3, -7), d = 21, has Redei 4-rank 0, and its narrow group C2
+    # collapses to a trivial wide group: genus theory takes c from the wide
+    # 2-rank, 0, and matches the class table.
     f = QuadFieldSpec.from_disc_values([-3, -7])
     k = QuadFieldSpec.from_disc_values([-3, -7, 5, -11, 13])
     assert four_rank_narrow(f) == 0
     assert (cl2_order(f, wide=False), cl2_order(f)) == (2, 1)
-    assert _genus_witnesses(f, [5, 11, 13]) is None
     wit = _witnesses(f, 1, [5, 11, 13])
+    assert _genus_witnesses(f, [5, 11, 13]) == (1, wit)
     assert kl_rank_lower_bound(k, f) == _bound_check(f, 1, wit).lhs
 
 
