@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from . import search as search_mod
 from . import splitlab
 from .arith import QuadFieldSpec, prime_disc_factorization
 from .errors import TwoTowerError
-from .quadforms import _ENV_MAX_DISC, narrow_class_group, wide_class_group
+from .quadforms import narrow_class_group, wide_class_group
 from .redei import catalog_text
 from .tower import analyze, cl2_order
 
@@ -138,9 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="twotower",
         description="2-class field tower criteria for imaginary quadratic fields",
-    )
-    parser.add_argument(
-        "--max-disc", type=int, default=None, help="override the discriminant bound"
+        epilog="TWO_TOWER_MAX_DISC sets the discriminant bound (default 1e8).",
     )
     sub = parser.add_subparsers(dest="cmd", required=True)
 
@@ -201,21 +198,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    # The bound reaches the library through the environment; the caller's
-    # value, or its absence, is put back when the command returns.
-    saved = os.environ.get(_ENV_MAX_DISC)
-    if args.max_disc is not None:
-        os.environ[_ENV_MAX_DISC] = str(args.max_disc)
     try:
         return args.fn(args)
     except (TwoTowerError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        if saved is None:
-            os.environ.pop(_ENV_MAX_DISC, None)
-        else:
-            os.environ[_ENV_MAX_DISC] = saved
 
 
 if __name__ == "__main__":

@@ -33,8 +33,10 @@ factors multiply the factors of equal rank across primes.
 
 Inputs are checked at the public edge: class_number, narrow_class_group,
 wide_class_group and prime_class_info check the bound, then
-fundamentality, on every call.  The cores _table, _class_number and
-_prime_info trust their callers, which check at least the bound.
+fundamentality, on every call; max_disc_bound reads the bound afresh
+from TWO_TOWER_MAX_DISC (default 1e8), its one source, on each check.
+The cores _table, _class_number and _prime_info trust their callers,
+which check at least the bound.
 
 _class_number is the cheap path.  For D < 0 it counts the reduced forms
 without listing them (_class_number_neg, an LRU cache of ints): while
@@ -88,15 +90,16 @@ class QuadForm(NamedTuple):
         return self.b * self.b - 4 * self.a * self.c
 
 
-def max_disc_bound(override: int | None = None) -> int:
-    if override is not None:
-        return override
+def max_disc_bound() -> int:
     env = os.environ.get(_ENV_MAX_DISC)
-    return int(env) if env else DEFAULT_MAX_DISC
+    try:
+        return int(env) if env else DEFAULT_MAX_DISC
+    except ValueError:
+        raise ValueError(f"{_ENV_MAX_DISC}={env!r} is not an integer") from None
 
 
-def _check_bound(d: int, bound: int | None = None) -> None:
-    limit = max_disc_bound(bound)
+def _check_bound(d: int) -> None:
+    limit = max_disc_bound()
     if abs(d) > limit:
         raise BoundExceeded(f"|{d}| exceeds the discriminant bound {limit}")
 
@@ -106,9 +109,9 @@ def _check_fundamental(d: int) -> None:
         raise NotFundamental(f"{d} is not a fundamental discriminant")
 
 
-def _check(d: int, bound: int | None) -> None:
+def _check(d: int) -> None:
     """The public functions' input check: the bound, then fundamentality."""
-    _check_bound(d, bound)
+    _check_bound(d)
     _check_fundamental(d)
 
 
@@ -580,12 +583,12 @@ def _table(d: int) -> _ClassTable:
     return _ClassTable(d)
 
 
-def class_number(d: int, wide: bool = True, bound: int | None = None) -> int:
+def class_number(d: int, wide: bool = True) -> int:
     """Class number of Q(sqrt(d)), wide by default, without the group structure.
 
     Raises BoundExceeded and NotFundamental exactly as wide_class_group does.
     """
-    _check(d, bound)
+    _check(d)
     return _class_number(d, wide)
 
 
@@ -747,15 +750,15 @@ def _structure(t: _ClassTable, rep: list[int]):
     return tuple(divisors_desc), gens
 
 
-def narrow_class_group(d: int, bound: int | None = None) -> AbelianGroupStructure:
+def narrow_class_group(d: int) -> AbelianGroupStructure:
     """Structure of the narrow class group Cl+(Q(sqrt(d)))."""
-    _check(d, bound)
+    _check(d)
     return _table(d).group(wide=False)
 
 
-def wide_class_group(d: int, bound: int | None = None) -> AbelianGroupStructure:
+def wide_class_group(d: int) -> AbelianGroupStructure:
     """Structure of the wide class group Cl(Q(sqrt(d)))."""
-    _check(d, bound)
+    _check(d)
     return _table(d).group(wide=True)
 
 
@@ -822,9 +825,7 @@ class PrimeClassInfo:
 _INERT = PrimeClassInfo("inert", 1)
 
 
-def prime_class_info(
-    d: int, p: int, wide: bool = True, bound: int | None = None
-) -> PrimeClassInfo:
+def prime_class_info(d: int, p: int, wide: bool = True) -> PrimeClassInfo:
     """Decomposition data for p in Q(sqrt(d)).
 
     order_2part is the largest power of 2 dividing the order of the
@@ -833,7 +834,7 @@ def prime_class_info(
     ValueError unless p is prime.
     """
     _require_prime(p)
-    _check(d, bound)
+    _check(d)
     return _prime_info(d, p, kronecker(d, p), wide)
 
 

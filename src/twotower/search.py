@@ -11,6 +11,7 @@ returned, so results are verified, never assumed.
 from __future__ import annotations
 
 import itertools
+from math import prod
 from typing import Iterator
 
 from .arith import (
@@ -32,6 +33,10 @@ from .redei import (
     redei_matrix,
 )
 from .tower import cl2_order
+
+
+# Fillings complete_tuple walks at most, a few microseconds each (about 4 s).
+_MAX_FILLS = 10**6
 
 
 def _case_by_tag(tag) -> CatalogCase:
@@ -58,7 +63,8 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     holes at slots 2 and 4 of (-4, -11, -43, -7, -3) misses |D| = 43428,
     (-4, -3, -7, -11, -47).  Returns the first `count` distinct fields by
     |D|; raises Exhausted when nothing completes and ValueError when
-    `count` is below 1.
+    `count` is below 1 or the holes' candidate lists give more than
+    _MAX_FILLS fillings, before any is tried.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, not {count}")
@@ -103,6 +109,9 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
                 )
             ]
         )
+    fills = prod(map(len, candidates))
+    if fills > _MAX_FILLS:
+        raise ValueError(f"{fills} hole fillings to try, above the cap of {_MAX_FILLS}")
     results: list[QuadFieldSpec] = []
     seen_fields: set[int] = set()
     for fill in itertools.product(*candidates):

@@ -6,18 +6,19 @@ must come back clean), and one open-ended experiment tabulates how the
 2-part of prime ideal class orders depends on the Kronecker symbol
 vector at the base field's prime discriminants.
 
-Each sweep fetches the class table of its base field once, checking only
-the bound (a QuadFieldSpec is fundamental by construction), and asks it
-about one prime at a time (_ClassTable.prime_info, which hands back one
-shared PrimeClassInfo per class).  The primes up to the latest bound
-swept are kept as a tuple (_primes), so sweeps repeated to one bound
-sieve once.  The symbols come by columns, one per value v, built over
-chunks of _SYMBOL_CHUNK primes so a large bound holds one chunk's
-columns beside its prime tuple: for a fundamental discriminant v, n -> (v/n) on n > 0 is
-periodic mod |v|, so the column is read from one kronecker call per
-residue class of p mod |v| met, and a sweep makes at most
-min(|v|, number of primes) kronecker calls per value.  The columns are
-zipped into one symbol vector per prime, and (d/p) is their product.
+Each sweep fetches the class table of its base field once, after
+tower.cl2_order has checked its bound (a QuadFieldSpec is fundamental by
+construction), and asks it about one prime at a time
+(_ClassTable.prime_info, which hands back one shared PrimeClassInfo per
+class).  The primes up to the latest bound swept are kept as a tuple
+(_primes), so sweeps repeated to one bound sieve once.  The symbols come
+by columns, one per value v, built over chunks of _SYMBOL_CHUNK primes
+so a large bound holds one chunk's columns beside its prime tuple: for a
+fundamental discriminant v, n -> (v/n) on n > 0 is periodic mod |v|, so
+the column is read from one kronecker call per residue class of p mod
+|v| met, and a sweep makes at most min(|v|, number of primes) kronecker
+calls per value.  The columns are zipped into one symbol vector per
+prime, and (d/p) is their product.
 
 A row (ExperimentRow) is a NamedTuple: the prime, its symbol vector, its
 split type in F, the 2-part of its class's order and the number of
@@ -35,9 +36,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .arith import QuadFieldSpec, is_prime, kronecker, primes_up_to
 from .errors import PreconditionUnmet
-from .quadforms import _check_bound, _ClassTable, _table
+from .quadforms import _ClassTable, _table
 from .redei import redei_matrix
-from .tower import _count_in_l
+from .tower import _count_in_l, cl2_order
 
 
 def _symbol_key(symbols: tuple[int, ...]) -> str:
@@ -146,11 +147,10 @@ def _symbol_vectors(
 
 
 def _base_table(f: QuadFieldSpec, wide: bool) -> tuple[_ClassTable, int]:
-    """f's class table, its bound checked, and |Cl_2(f)|, wide or narrow."""
-    _check_bound(f.discriminant)
-    t = _table(f.discriminant)
-    h = t.h_wide if wide else t.h_plus
-    return t, h & -h
+    """f's class table and |Cl_2(f)|, wide or narrow, the latter from
+    cl2_order, which checks f's bound before the table is fetched."""
+    c = cl2_order(f, wide)
+    return _table(f.discriminant), c
 
 
 def iter_rows(

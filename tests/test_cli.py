@@ -181,26 +181,24 @@ def test_catalog_cli(capsys):
     assert "case M49" in out and "case A" in out and "status resolved" in out
 
 
-def test_max_disc_flag(capsys):
-    # main() writes the flag into the process env while the command runs;
-    # the cleanup below still guards the other tests against a leak.
-    import os
+def test_max_disc_variable(capsys, monkeypatch):
+    # TWO_TOWER_MAX_DISC is the one setting of the bound, read on each check.
+    monkeypatch.setenv("TWO_TOWER_MAX_DISC", "100")
+    code, _, err = run(capsys, "classgroup", "--", "-399")
+    assert code == 2 and "bound 100" in err
+    # skipped:bound reports the bound in force, not the default
+    monkeypatch.setenv("TWO_TOWER_MAX_DISC", "1000")
+    code, out, _ = run(capsys, "analyze", "--discs=-3,+5,+13,+37")
+    skipped = [d for d in json.loads(out)["diagnostics"] if d["criterion"] == "skipped:bound"]
+    assert skipped and all(d["achieved"] > d["required"] == 1000 for d in skipped)
+    monkeypatch.delenv("TWO_TOWER_MAX_DISC")
+    assert run(capsys, "classgroup", "--", "-399")[0] == 0
 
-    saved = os.environ.pop("TWO_TOWER_MAX_DISC", None)
-    try:
-        code, _, err = run(capsys, "--max-disc", "100", "classgroup", "--", "-399")
-        assert code == 2 and "bound 100" in err
-        # main() puts the caller's environment back: unset, then a value.
-        assert "TWO_TOWER_MAX_DISC" not in os.environ
-        assert run(capsys, "classgroup", "--", "-399")[0] == 0
-        os.environ["TWO_TOWER_MAX_DISC"] = "1000"
-        code, _, err = run(capsys, "--max-disc", "100", "classgroup", "--", "-399")
-        assert code == 2 and "bound 100" in err
-        assert os.environ["TWO_TOWER_MAX_DISC"] == "1000"
-    finally:
-        os.environ.pop("TWO_TOWER_MAX_DISC", None)
-        if saved is not None:
-            os.environ["TWO_TOWER_MAX_DISC"] = saved
+
+def test_max_disc_variable_malformed(capsys, monkeypatch):
+    monkeypatch.setenv("TWO_TOWER_MAX_DISC", "abc")
+    code, _, err = run(capsys, "classgroup", "--", "-399")
+    assert code == 2 and "TWO_TOWER_MAX_DISC='abc' is not an integer" in err
 
 
 def test_outputs_stable_under_rerun(capsys):

@@ -769,15 +769,16 @@ def test_split_primes_are_inverse_pairs():
         done += 1
 
 
-def test_bound_and_fundamentality_checks():
+def test_bound_and_fundamentality_checks(monkeypatch):
     # Every public function checks the bound, then fundamentality, on every
     # call, also once the table of d (or of a nearby d) is cached.
     public = {
         "class_number": class_number,
         "narrow_class_group": narrow_class_group,
         "wide_class_group": wide_class_group,
-        "prime_class_info": lambda d, bound=None: prime_class_info(d, 3, bound=bound),
+        "prime_class_info": lambda d: prime_class_info(d, 3),
     }
+    monkeypatch.delenv("TWO_TOWER_MAX_DISC", raising=False)
     for d in (-2379, 2379 * 4, -2383):
         _table(d)
     for name, fn in public.items():
@@ -788,11 +789,19 @@ def test_bound_and_fundamentality_checks():
             with pytest.raises(BoundExceeded):
                 fn(d)
         for d in (-2379, 2379 * 4, -2383, -11):
+            monkeypatch.setenv("TWO_TOWER_MAX_DISC", str(abs(d) - 1))
             with pytest.raises(BoundExceeded, match=f"bound {abs(d) - 1}$"):
-                fn(d, bound=abs(d) - 1)
-            fn(d, bound=abs(d))
+                fn(d)
+            monkeypatch.setenv("TWO_TOWER_MAX_DISC", str(abs(d)))
+            fn(d)
+        monkeypatch.setenv("TWO_TOWER_MAX_DISC", "8")
         with pytest.raises(BoundExceeded):
-            fn(-9, bound=8)  # the bound is checked first
+            fn(-9)  # the bound is checked first
+        # a malformed bound is refused by name, not as a bare int() error
+        monkeypatch.setenv("TWO_TOWER_MAX_DISC", "abc")
+        with pytest.raises(ValueError, match="^TWO_TOWER_MAX_DISC='abc' is not an integer$"):
+            fn(-11)
+        monkeypatch.delenv("TWO_TOWER_MAX_DISC")
     # prime_class_info on d < 0 walks reduced forms and builds no table
     misses = _table.cache_info().misses
     for d in (-3, -4, -399, -2381 * 4, -3 * 7 * 11 * 13):

@@ -1,7 +1,6 @@
 import gc
 import hashlib
 import itertools
-import os
 import random
 
 import pytest
@@ -29,8 +28,6 @@ from twotower.redei import (
     two_ranks,
 )
 from twotower.search import complete_tuple
-
-FULL = os.environ.get("TWOTOWER_FULL_SWEEPS") == "1"
 
 
 def spec_of(*values):

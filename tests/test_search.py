@@ -148,6 +148,12 @@ def test_complete_exhausted():
         complete_tuple("B", [-3, -11, None, -7, -31], 100)  # 107 > 100
 
 
+def test_complete_refuses_too_many_fillings(within):
+    # five holes of A at bound 1000 would be about 5e9 fillings to walk
+    with within(2), pytest.raises(ValueError, match=r"fillings to try, above the cap of 1000000"):
+        complete_tuple("A", [None] * 5, 1000)
+
+
 def test_complete_count_below_one():
     for count in (0, -1):
         with pytest.raises(ValueError):
