@@ -43,12 +43,19 @@ def redei_matrix(spec: QuadFieldSpec) -> tuple[tuple[int, ...], ...]:
     and every column sums to zero.
     """
     discs = spec.discs
-    rows = [
-        [0 if i == j else _entry(di.value, dj.prime) for j, dj in enumerate(discs)]
-        for i, di in enumerate(discs)
-    ]
-    for j, row in enumerate(rows):
-        row[j] = sum(r[j] for r in rows) % 2
+    return _with_diagonal(
+        [
+            [0 if i == j else _entry(di.value, dj.prime) for j, dj in enumerate(discs)]
+            for i, di in enumerate(discs)
+        ]
+    )
+
+
+def _with_diagonal(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
+    """The Redei matrix whose off-diagonal entries are rows', given with a
+    zero diagonal: each a_jj is set to column j's sum mod 2."""
+    for j, total in enumerate([sum(col) for col in zip(*rows)]):
+        rows[j][j] = total % 2
     return tuple(map(tuple, rows))
 
 

@@ -2,14 +2,19 @@
 matrix case, list base fields with prescribed 2-class size, and generate
 members of the two published infinite families of base fields.
 
-Each hole keeps the primes whose Redei entries against the known discs
-are the case's fixed entries, checked with the same entry rule that builds
-the Redei matrix; every candidate tuple is then re-classified before it is
-returned, so results are verified, never assumed.
+complete_tuple keeps, for each hole, the primes whose Redei entries against
+the known discs are the case's fixed entries, checked with the same entry
+rule that builds the Redei matrix.  It walks the hole fillings in ascending
+|D| and stops at the `count`-th field that classifies as the case.  Each
+field it meets is classified once, on a Redei matrix put together from
+blocks made once per call (known against known, each candidate against the
+known discs) and the filling's own hole-against-hole entries, so results
+are verified, never assumed.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from math import prod
 from typing import Iterator
@@ -24,9 +29,10 @@ from .arith import (
 from .errors import Exhausted, NotFundamental, TemplateMismatch
 from .redei import (
     CatalogCase,
-    _classify,
+    _case_of,
     _code,
     _entry,
+    _with_diagonal,
     catalog_cases,
     f2_rank,
     four_rank_narrow,
@@ -35,7 +41,7 @@ from .redei import (
 from .tower import cl2_order
 
 
-# Fillings complete_tuple walks at most, a few microseconds each (about 4 s).
+# Fillings complete_tuple will walk at most, a few microseconds each.
 _MAX_FILLS = 10**6
 
 
@@ -54,17 +60,20 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     value, or None (or '_') for a hole.  A hole takes -4 in a '4' slot and
     otherwise -q or +q for an odd prime q <= `bound`, never -8 or 8, and
     keeps only the q whose entries against the known discs at the slots
-    given are the case's fixed entries; every completed field is then
-    re-classified, through the cached catalog match, and accepted when it
-    classifies as the case under any permutation.  So a result may fit
-    the case only with its discs at other slots: FamD2d (-4, -19, -43, 29,
-    37) completes (-4, _, _, 29, 37) and fits under (0, 2, 1, 3, 4).  A
-    field that fits only when known discs move is never tried: D1 with
-    holes at slots 2 and 4 of (-4, -11, -43, -7, -3) misses |D| = 43428,
-    (-4, -3, -7, -11, -47).  Returns the first `count` distinct fields by
-    |D|; raises Exhausted when nothing completes and ValueError when
-    `count` is below 1 or the holes' candidate lists give more than
-    _MAX_FILLS fillings, before any is tried.
+    given are the case's fixed entries.  The fillings are walked in
+    ascending |D|, ties (one field, its hole values in another order) in
+    itertools.product order of the candidate lists, which ascend by |v|.
+    The first filling of each field is classified, through the cached
+    catalog match, and the field is accepted when it classifies as the
+    case under any permutation; the walk stops at the `count`-th field
+    accepted.  So a result may fit the case only with its discs at other
+    slots: FamD2d (-4, -19, -43, 29, 37) completes (-4, _, _, 29, 37) and
+    fits under (0, 2, 1, 3, 4).  A field that fits only when known discs
+    move is never tried: D1 with holes at slots 2 and 4 of (-4, -11, -43,
+    -7, -3) misses |D| = 43428, (-4, -3, -7, -11, -47).  Returns the first
+    `count` distinct fields by |D|; raises Exhausted when nothing completes
+    and ValueError when `count` is below 1 or the holes' candidate lists
+    give more than _MAX_FILLS fillings, before any is tried.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, not {count}")
@@ -82,57 +91,99 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     known_primes = {d.prime for d in known.values()}
     if len(known_primes) != len(known):
         raise TemplateMismatch("known discs share an underlying prime")
-    # Known-against-known symbols must already match the case.
+    # Redei entries in slot order, zero on the diagonal: known against known
+    # here, where they must already match the case, each candidate's against
+    # the known discs in its filter pass, hole against hole per filling.
+    base = [[0] * 5 for _ in range(5)]
     for i, j in itertools.permutations(known, 2):
-        want = cat.fixed[i][j]
-        if want is not None and _entry(known[i].value, known[j].prime) != want:
+        base[i][j] = _entry(known[i].value, known[j].prime)
+        if cat.fixed[i][j] not in (None, base[i][j]):
             raise Exhausted(f"known discs violate fixed entry ({i},{j}); no completion exists")
     odd_primes = [q for q in primes_up_to(bound)[1:] if q not in known_primes]
-    candidates: list[list[int]] = []
+    # Per hole, ascending by |v|: (v, its prime, the (row, column) positions
+    # where its Redei entries against the known discs are 1).
+    candidates: list[list[tuple[int, int, list[tuple[int, int]]]]] = []
     for j in holes:
         code = cat.signs[j]
         if code == "4":
-            candidates.append([-4] if 2 not in known_primes else [])
-            continue
-        sign = -1 if code == "-" else 1
-        # (v, p, (q*/p), (v/q)) for each known disc v = p*; None is a wildcard.
-        entries = [(d.value, d.prime, cat.fixed[j][i], cat.fixed[i][j]) for i, d in known.items()]
-        candidates.append(
-            [
-                sign * q
-                for q in odd_primes
-                if sign * q % 4 == 1
-                and all(
-                    (row is None or _entry(sign * q, p) == row)
-                    and (col is None or _entry(v, q) == col)
-                    for v, p, row, col in entries
-                )
-            ]
-        )
+            pool = [] if 2 in known_primes else [(-4, 2)]
+        else:
+            sign = -1 if code == "-" else 1
+            pool = [(sign * q, q) for q in odd_primes if sign * q % 4 == 1]
+        # (i, p_i*, p_i, the entries allowed at (j, i), those at (i, j)) for
+        # each known disc; -4 takes no entry filter.
+        wants = [
+            (i, d.value, d.prime)
+            + tuple(
+                (0, 1) if code == "4" or want is None else (want,)
+                for want in (cat.fixed[j][i], cat.fixed[i][j])
+            )
+            for i, d in known.items()
+        ]
+        keep = []
+        for v, q in pool:
+            ones = []
+            for i, w, p, row_ok, col_ok in wants:
+                a = _entry(v, p)
+                if a not in row_ok:
+                    break
+                b = _entry(w, q)
+                if b not in col_ok:
+                    break
+                if a:
+                    ones.append((j, i))
+                if b:
+                    ones.append((i, j))
+            else:
+                keep.append((v, q, ones))
+        candidates.append(keep)
     fills = prod(map(len, candidates))
     if fills > _MAX_FILLS:
         raise ValueError(f"{fills} hole fillings to try, above the cap of {_MAX_FILLS}")
+    n = len(holes)
+    hole_pairs = [(holes[x], holes[y], x, y) for x, y in itertools.permutations(range(n), 2)]
+    # Fillings are index tuples into the candidate lists, walked from a heap
+    # in ascending (|D|, index tuple).  A tuple's one parent takes 1 off its
+    # last nonzero index, and each list ascends by |v|, so a tuple is pushed
+    # when its parent pops and every |D| is met in full, in product order.
+    # The sign codes fix the sign of D (odd count of negatives: imaginary),
+    # and equal |D| means one field, whose verdict no order of its discs moves.
+    heap = []
+    if fills and sum(code != "+" for code in cat.signs) % 2:
+        absd = prod(abs(d.value) for d in known.values()) * prod(abs(c[0][0]) for c in candidates)
+        heap.append((absd, (0,) * n))
     results: list[QuadFieldSpec] = []
-    seen_fields: set[int] = set()
-    for fill in itertools.product(*candidates):
+    prev = 0
+    while heap and len(results) < count:
+        absd, idx = heapq.heappop(heap)
+        k = n - 1
+        while k > 0 and not idx[k]:
+            k -= 1
+        for k in range(max(k, 0), n):
+            if idx[k] + 1 < len(candidates[k]):
+                up = absd // abs(candidates[k][idx[k]][0]) * abs(candidates[k][idx[k] + 1][0])
+                heapq.heappush(heap, (up, idx[:k] + (idx[k] + 1,) + idx[k + 1 :]))
+        fill = [c[i] for c, i in zip(candidates, idx)]
         # A hole takes -4 for the prime 2, -q only for q = 3 (mod 4) and +q
         # only for q = 1 (mod 4), so two hole values share a prime exactly
         # when they are equal.
-        if len(set(fill)) != len(fill):
+        if absd == prev or len({v for v, _, _ in fill}) != n:
             continue
-        values = list(slots)
-        for j, v in zip(holes, fill):
-            values[j] = v
-        spec = QuadFieldSpec.from_disc_values(values)
-        if not spec.is_imaginary or spec.discriminant in seen_fields:
-            continue
-        if _classify(spec, redei_matrix(spec)).tag == cat.tag:
-            seen_fields.add(spec.discriminant)
-            results.append(spec)
+        prev = absd
+        rows = [row[:] for row in base]
+        for _, _, ones in fill:
+            for i, j in ones:
+                rows[i][j] = 1
+        for i, j, x, y in hole_pairs:
+            rows[i][j] = _entry(fill[x][0], fill[y][1])
+        if _case_of(cat.signs, _with_diagonal(rows)).tag == cat.tag:
+            values = list(slots)
+            for j, (v, _, _) in zip(holes, fill):
+                values[j] = v
+            results.append(QuadFieldSpec.from_disc_values(values))
     if not results:
         raise Exhausted(f"no completion of {partial} to case {cat.tag} below {bound}")
-    results.sort(key=lambda s: (abs(s.discriminant), s.values()))
-    return results[:count]
+    return results
 
 
 # Each template's number of discs, sign of D, and predicate on the disc values.

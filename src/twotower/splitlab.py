@@ -6,9 +6,9 @@ must come back clean), and one open-ended experiment tabulates how the
 2-part of prime ideal class orders depends on the Kronecker symbol
 vector at the base field's prime discriminants.
 
-Each sweep fetches the class table of its base field once, after
-tower.cl2_order has checked its bound (a QuadFieldSpec is fundamental by
-construction), and asks it about one prime at a time
+Each sweep fetches the class table of its base field once, after its
+bound is checked (a QuadFieldSpec is fundamental by construction), reads
+|Cl_2| off the table's class number, and asks it about one prime at a time
 (_ClassTable.prime_info, which hands back one shared PrimeClassInfo per
 class).  The primes up to the latest bound swept are kept as a tuple
 (_primes), so sweeps repeated to one bound sieve once.  The symbols come
@@ -36,9 +36,9 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .arith import QuadFieldSpec, is_prime, kronecker, primes_up_to
 from .errors import PreconditionUnmet
-from .quadforms import _ClassTable, _table
+from .quadforms import _ClassTable, _check_bound, _table
 from .redei import redei_matrix
-from .tower import _count_in_l, cl2_order
+from .tower import _count_in_l
 
 
 def _symbol_key(symbols: tuple[int, ...]) -> str:
@@ -147,10 +147,12 @@ def _symbol_vectors(
 
 
 def _base_table(f: QuadFieldSpec, wide: bool) -> tuple[_ClassTable, int]:
-    """f's class table and |Cl_2(f)|, wide or narrow, the latter from
-    cl2_order, which checks f's bound before the table is fetched."""
-    c = cl2_order(f, wide)
-    return _table(f.discriminant), c
+    """f's class table, fetched once f's bound is checked, and |Cl_2(f)|,
+    wide or narrow, read off the table's class number."""
+    _check_bound(f.discriminant)
+    t = _table(f.discriminant)
+    h = t.h_wide if wide else t.h_plus
+    return t, h & -h
 
 
 def iter_rows(

@@ -107,6 +107,29 @@ def test_diagonal_is_cofactor_symbol():
             assert m[i][i] == want
 
 
+def test_with_diagonal_reproduces_redei_matrix():
+    # Off-diagonal symbols and the cofactor-symbol diagonal, both straight
+    # from kronecker, on seeded fields of 3 to 6 discs.
+    rng = random.Random(23)
+    sizes = []
+    while len(sizes) < 200:
+        spec = random_spec(rng)
+        if spec.t < 3:
+            continue
+        sizes.append(spec.t)
+        discs, delta = spec.discs, spec.discriminant
+        rows = [
+            [0 if i == j else int(kronecker(di.value, dj.prime) != 1) for j, dj in enumerate(discs)]
+            for i, di in enumerate(discs)
+        ]
+        want = tuple(
+            tuple(int(kronecker(delta // di.value, di.prime) != 1) if i == j else a for j, a in enumerate(row))
+            for i, (di, row) in enumerate(zip(discs, rows))
+        )
+        assert redei._with_diagonal(rows) == want == redei_matrix(spec), spec
+    assert set(sizes) == {3, 4, 5, 6}
+
+
 def test_redei_reichardt_oracle_small():
     for d in list(range(-6000, 0)) + list(range(2, 6001)):
         if not is_fundamental(d):

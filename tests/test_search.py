@@ -16,6 +16,7 @@ from twotower.arith import (
 from twotower.errors import Exhausted, TemplateMismatch
 from twotower.quadforms import wide_class_group
 from twotower.redei import catalog_cases, classify_open_case, f2_rank, redei_matrix
+from twotower import search
 from twotower.search import complete_tuple, dmw_family, find_base_fields, lopez_family
 
 
@@ -39,15 +40,59 @@ def test_complete_case_b_progression():
     assert min(qs) == 107
 
 
+def member_hole_pairs():
+    """(tag, partial) for every pair of holes in each open case's catalog
+    member: 160 partial tuples."""
+    cases = {c.tag for c in catalog_cases() if c.status == "open"}
+    return [
+        (tag, [None if i in holes else v for i, v in enumerate(member)])
+        for tag, member in CATALOG_MEMBERS.items()
+        if tag in cases
+        for holes in itertools.combinations(range(5), 2)
+    ]
+
+
+def complete_or_empty(tag, partial, count):
+    try:
+        return complete_tuple(tag, partial, 300, count=count)
+    except Exhausted:
+        return []
+
+
 def test_complete_reclassifies_to_case():
-    for tag, partial in [
-        ("A", [None, None, -7, -19, -3]),
-        ("FamD2d", [-4, None, None, 5, 37]),
-    ]:
-        specs = complete_tuple(tag, partial, 400, count=2)
-        assert specs
-        for spec in specs:
-            assert classify_open_case(spec).tag == tag
+    # classify_open_case rebuilds each field's matrix with redei_matrix.
+    pairs = member_hole_pairs()
+    assert len(pairs) == 160
+    total = 0
+    for tag, partial in pairs:
+        for spec in complete_or_empty(tag, partial, 10**6):
+            assert classify_open_case(spec).tag == tag, (tag, partial, spec)
+            total += 1
+    assert total == 1368
+
+
+def test_complete_stops_at_count(monkeypatch):
+    # The walk in order of |D| stops at the count-th field accepted, and
+    # gives the prefix of the whole walk's result.
+    classified = []
+    real = search._case_of
+
+    def counted(codes, a):
+        classified.append(a)
+        return real(codes, a)
+
+    monkeypatch.setattr(search, "_case_of", counted)
+    fewer = 0
+    for tag, partial in member_hole_pairs():
+        classified.clear()
+        full = complete_or_empty(tag, partial, 10**6)
+        walked = len(classified)
+        for k in (1, 3, 5):
+            classified.clear()
+            assert complete_or_empty(tag, partial, k) == full[:k], (tag, partial, k)
+            if k == 1 and len(classified) < walked:
+                fewer += 1
+    assert fewer > 0
 
 
 def test_complete_against_brute_force():

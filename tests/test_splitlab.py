@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+import twotower.quadforms as quadforms
 import twotower.splitlab as splitlab
 from twotower.arith import QuadFieldSpec, kronecker, primes_up_to
 from twotower.errors import PreconditionUnmet
@@ -281,6 +282,23 @@ def test_sweep_output_pinned():
     for report in reports:
         h.update(f"{report.describe()}\n{report.violations}".encode())
     assert h.hexdigest() == SWEEP_OUTPUT_SHA256
+
+
+def test_imaginary_sweeps_read_cl2_off_the_table(monkeypatch):
+    # A cold sweep over an imaginary F takes |Cl_2(F)| from the class table
+    # it fetches anyway, and never counts h on reduced forms beside it.
+    f = QuadFieldSpec.from_disc_values([-7, -19, -3])
+    c = cl2_order(f)
+    _table.cache_clear()
+    want = (verify_imag_triple(7, 19, 3, 2000), explore_symbol_dependence(f, 2000))
+    counted = []
+    monkeypatch.setattr(quadforms, "_class_number_neg", counted.append)
+    _table.cache_clear()
+    report = verify_imag_triple(7, 19, 3, 2000)
+    _table.cache_clear()
+    got = (report, explore_symbol_dependence(f, 2000))
+    assert counted == [] and got == want
+    assert {row.count_in_l for row in got[1].rows if row.split_type == "inert"} == {c}
 
 
 def test_experiment_row_is_immutable_tuple():
