@@ -27,6 +27,9 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_LIMIT = 3_317_044_064_679_887_385_961_981
 # Distinct values PrimeDiscriminant.from_value keeps interned.
 _INTERNED_PRIME_DISCS = 4096
+# Prime bounds whose sieved primes _primes keeps: only the latest, which
+# sweeps and completions repeated to one bound reuse; a new bound replaces it.
+_PRIME_LIST_CACHE_SIZE = 1
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -126,7 +129,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality for 64-bit-ish inputs, BPSW beyond."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_BASES:
         if n % p == 0:
             return n == p
     d, s = n - 1, 0
@@ -330,6 +333,16 @@ def primes_up_to(n: int) -> list[int]:
             p = 2 * i + 1
             sieve[p * p // 2 :: p] = bytes(len(range(p * p // 2, size, p)))
     return [2, *itertools.compress(range(1, n + 1, 2), sieve)]
+
+
+@lru_cache(maxsize=_PRIME_LIST_CACHE_SIZE, typed=True)
+def _primes(bound: int) -> tuple[int, ...]:
+    """primes_up_to(bound) as a tuple, sieved once per bound.
+
+    Typed, so a float bound still fails in the sieve instead of hitting an
+    int bound's entry.
+    """
+    return tuple(primes_up_to(bound))
 
 
 def crt_prime_search(conditions, range_bound: int) -> list[int]:

@@ -93,9 +93,12 @@ class QuadForm(NamedTuple):
 def max_disc_bound() -> int:
     env = os.environ.get(_ENV_MAX_DISC)
     try:
-        return int(env) if env else DEFAULT_MAX_DISC
+        bound = int(env) if env else DEFAULT_MAX_DISC
     except ValueError:
         raise ValueError(f"{_ENV_MAX_DISC}={env!r} is not an integer") from None
+    if bound < 1:
+        raise ValueError(f"{_ENV_MAX_DISC}={env!r} is not a positive integer")
+    return bound
 
 
 def _check_bound(d: int) -> None:

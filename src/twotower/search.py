@@ -22,9 +22,9 @@ from typing import Iterator
 from .arith import (
     PrimeDiscriminant,
     QuadFieldSpec,
+    _primes,
     is_prime,
     prime_disc_factorization,
-    primes_up_to,
 )
 from .errors import Exhausted, NotFundamental, TemplateMismatch
 from .redei import (
@@ -99,7 +99,7 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
         base[i][j] = _entry(known[i].value, known[j].prime)
         if cat.fixed[i][j] not in (None, base[i][j]):
             raise Exhausted(f"known discs violate fixed entry ({i},{j}); no completion exists")
-    odd_primes = [q for q in primes_up_to(bound)[1:] if q not in known_primes]
+    odd_primes = [q for q in _primes(bound)[1:] if q not in known_primes]
     # Per hole, ascending by |v|: (v, its prime, the (row, column) positions
     # where its Redei entries against the known discs are 1).
     candidates: list[list[tuple[int, int, list[tuple[int, int]]]]] = []

@@ -10,14 +10,14 @@ Each sweep fetches the class table of its base field once, after its
 bound is checked (a QuadFieldSpec is fundamental by construction), reads
 |Cl_2| off the table's class number, and asks it about one prime at a time
 (_ClassTable.prime_info, which hands back one shared PrimeClassInfo per
-class).  The primes up to the latest bound swept are kept as a tuple
-(_primes), so sweeps repeated to one bound sieve once.  The symbols come
-by columns, one per value v, built over chunks of _SYMBOL_CHUNK primes
-so a large bound holds one chunk's columns beside its prime tuple: for a
-fundamental discriminant v, n -> (v/n) on n > 0 is periodic mod |v|, so
-the column is read from one kronecker call per residue class of p mod
-|v| met, and a sweep makes at most min(|v|, number of primes) kronecker
-calls per value.  The columns are zipped into one symbol vector per
+class).  The primes come from arith._primes, which keeps the latest
+bound's primes as a tuple, so sweeps repeated to one bound sieve once.
+The symbols come by columns, one per value v, built over chunks of
+_SYMBOL_CHUNK primes so a large bound holds one chunk's columns beside
+its prime tuple: for a fundamental discriminant v, n -> (v/n) on n > 0
+is periodic mod |v|, so the column is read from one kronecker call per
+residue class of p mod |v| met, and a sweep makes at most min(|v|,
+number of primes) kronecker calls per value.  The columns are zipped into one symbol vector per
 prime, and (d/p) is their product.
 
 A row (ExperimentRow) is a NamedTuple: the prime, its symbol vector, its
@@ -29,12 +29,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 from math import prod
 from operator import mul
 from typing import Iterable, Iterator, NamedTuple
 
-from .arith import QuadFieldSpec, is_prime, kronecker, primes_up_to
+from .arith import QuadFieldSpec, _primes, is_prime, kronecker
 from .errors import PreconditionUnmet
 from .quadforms import _ClassTable, _check_bound, _table
 from .redei import redei_matrix
@@ -96,17 +95,8 @@ class VerifyReport:
         return f"checked {self.checked} primes, {len(self.violations)} {word}"
 
 
-# Prime bounds whose sieved primes _primes keeps: only the latest, which
-# sweeps repeated to one bound reuse; a new bound replaces it.
-_PRIME_LIST_CACHE_SIZE = 1
 # Primes whose symbol columns _symbol_vectors holds at once.
 _SYMBOL_CHUNK = 4096
-
-
-@lru_cache(maxsize=_PRIME_LIST_CACHE_SIZE)
-def _primes(bound: int) -> tuple[int, ...]:
-    """primes_up_to(bound) as a tuple, sieved once per bound."""
-    return tuple(primes_up_to(bound))
 
 
 def _symbol_column(v: int, memo: dict[int, int], primes: list[int]) -> list[int]:

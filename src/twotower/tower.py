@@ -8,24 +8,26 @@ from the decomposition law, never from constructing L.  Everything that
 fails is recorded as a near-miss diagnostic.
 
 The table CRITERIA, with the base-field shapes in BASE_KINDS, is the
-single source of the base-field criteria and their attempt order, and
-_evaluate the one computation of a base field's |Cl_2(F)|, witnesses and
-bound.  A base field is a QuadFieldSpec F throughout: _kind derives its
-shape from its discs' signs, and _checked_base is the one check of F
-against K.  analyze, base_field_certificate and kl_rank_lower_bound run
-them, and so does replay_certificate: it recomputes a certificate and
-compares.
+single source of the base-field criteria and their attempt order.  A base
+field is a QuadFieldSpec F throughout: _checked_base is the one check of F
+against K, and _kind finds F's shape from its discs' signs once per base
+field (_base_fields yields it beside F).  analyze, base_field_certificate
+and kl_rank_lower_bound run them, and so does replay_certificate: it
+recomputes a certificate and compares.  gs_required states the
+Golod-Shafarevich threshold once; gs_infinite compares with it.
 
-A base field's discriminant is a QuadFieldSpec's, fundamental by
-construction, so only its bound is checked and no base field is factored.
-Every F of narrow Redei 4-rank 0, of either sign, is settled by one
-genus-theory rule (_genus_witnesses): |Cl_2(F)| is 2 to F's wide 2-rank,
-and each witness's type and order 2-part follow from the Redei entries of
-F's discs at the witness, the cached Kronecker symbols of K's own Redei
-matrix, compared with F's sign vector.  An F of 4-rank above 0 counts its
-class number: for an imaginary F no class table is built, h is counted
-once on reduced forms (cached) and each witness's order 2-part comes from
-powering its prime form; a real F reads both off its class table.
+_evaluate is the one route from F to |Cl_2(F)|, its Witness records and
+the bound.  F's discriminant is fundamental by construction, so only its
+bound is checked and no base field is factored.  Both sources give c and
+one PrimeClassInfo per witness prime.  Every F of narrow Redei 4-rank 0,
+of either sign, takes one genus-theory rule (_genus_witnesses): c is 2 to
+F's wide 2-rank, and each witness's type and order 2-part follow from the
+Redei entries of F's discs at the witness, the cached Kronecker symbols
+of K's own Redei matrix, compared with F's sign vector.  An F of 4-rank
+above 0 counts its class number: for an imaginary F no class table is
+built, h is counted once on reduced forms (cached) and each witness's
+order 2-part comes from powering its prime form; a real F reads both off
+its class table.
 """
 
 from __future__ import annotations
@@ -52,15 +54,15 @@ from .redei import CaseId, _classify, _entry, _four_rank, redei_matrix, two_rank
 def gs_infinite(d2: int, unit_2rank: int) -> bool:
     """Golod-Shafarevich: 2-tower provably infinite once d2 >= 2 + 2*sqrt(1 + unit_2rank).
 
-    Decided in exact integer arithmetic by squaring.
+    Decided exactly against gs_required, the least such integer d2.
     """
     if d2 < 0 or unit_2rank < 0:
         raise ValueError("ranks are nonnegative")
-    return d2 >= 2 and (d2 - 2) ** 2 >= 4 * (1 + unit_2rank)
+    return d2 >= gs_required(unit_2rank)
 
 
 def gs_required(unit_2rank: int) -> int:
-    """Least integer d2 satisfying the Golod-Shafarevich criterion."""
+    """Least integer d2 >= 2 + 2*sqrt(1 + unit_2rank): 2 + ceil(sqrt(4 * (1 + unit_2rank)))."""
     return 2 + isqrt(4 * (1 + unit_2rank) - 1) + 1
 
 
@@ -199,15 +201,6 @@ class TowerReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
 
 
-def _witnesses(f: QuadFieldSpec, c: int, primes) -> tuple[Witness, ...]:
-    d = f.discriminant
-    out = []
-    for p in primes:
-        info = _prime_info(d, p, kronecker(d, p))
-        out.append(Witness(p, info.split_type, info.order_2part, _count_in_l(c, info)))
-    return tuple(out)
-
-
 def _bound_check(f: QuadFieldSpec, c: int, witnesses) -> ThresholdCheck:
     """Golod-Shafarevich on KL from F's c = |Cl_2(F)| and witnesses.
 
@@ -310,9 +303,9 @@ def _checked_base(k: QuadFieldSpec, f: QuadFieldSpec) -> QuadFieldSpec:
 _GENUS_SPLIT = (PrimeClassInfo("split", 1), PrimeClassInfo("split", 2))
 
 
-def _genus_witnesses(f: QuadFieldSpec, primes) -> tuple[int, tuple[Witness, ...]] | None:
-    """(|Cl_2(F)|, witnesses at primes) by genus theory alone; None when F's
-    narrow Redei 4-rank is above 0.
+def _genus_witnesses(f: QuadFieldSpec, primes) -> tuple[int, list[PrimeClassInfo]] | None:
+    """(|Cl_2(F)|, the class info of each prime in primes) by genus theory
+    alone; None when F's narrow Redei 4-rank is above 0.
 
     With t = F.t, d_1..d_t F's discs and s the F2 vector with s_i = 1
     exactly when d_i < 0:
@@ -340,7 +333,7 @@ def _genus_witnesses(f: QuadFieldSpec, primes) -> tuple[int, tuple[Witness, ...]
       is fixed by its characters, and k's are the signs of the d_i (the
       characters at -1): entries s.  So a split prime's wide class has
       order 2-part 1 exactly when a is 0 or s, and 2 otherwise;
-      _count_in_l gives the count.  No sign case is needed: for F
+      _count_in_l gives the count from c.  No sign case is needed: for F
       imaginary sum s_i is odd, so a = s is inert and never reaches the
       test; for F real with every d_i > 0, s is 0.
     """
@@ -349,37 +342,38 @@ def _genus_witnesses(f: QuadFieldSpec, primes) -> tuple[int, tuple[Witness, ...]
         return None
     c = 1 << two_ranks(f)[1]
     s = [int(v < 0) for v in values]
-    out = []
+    infos = []
     for q in primes:
         a = [_entry(v, q) for v in values]
-        info = _INERT if sum(a) % 2 else _GENUS_SPLIT[any(a) and a != s]
-        out.append(Witness(q, info.split_type, info.order_2part, _count_in_l(c, info)))
-    return c, tuple(out)
+        infos.append(_INERT if sum(a) % 2 else _GENUS_SPLIT[any(a) and a != s])
+    return c, infos
 
 
 def _evaluate(k: QuadFieldSpec, f: QuadFieldSpec):
     """(|Cl_2(F)|, the witnesses at K's primes unramified in F, the bound check).
 
-    Past F's bound check, F of narrow Redei 4-rank 0, of either sign, is
-    read off genus theory (_genus_witnesses): no class number, no table and
-    no form powering.  An F of 4-rank above 0 counts h (cl2_order; wide, as
-    L = F^1_(2) is unramified at infinity too) and looks up each witness's
-    class (_witnesses).
+    Past F's bound check, c and the witness primes' classes come from genus
+    theory for F of narrow Redei 4-rank 0 (_genus_witnesses: no class
+    number, table or form powering), else from cl2_order (wide, as L =
+    F^1_(2) is unramified at infinity too) and a class lookup per prime.
+    Here alone _count_in_l makes each class a Witness.
     """
     rest = [d.prime for d in k.discs if d not in f.discs]
-    _check_bound(f.discriminant)
+    d = f.discriminant
+    _check_bound(d)
     genus = _genus_witnesses(f, rest)
-    if genus is not None:
-        c, wit = genus
-    else:
-        c = cl2_order(f)
-        wit = _witnesses(f, c, rest)
+    if genus is None:
+        genus = cl2_order(f), [_prime_info(d, p, kronecker(d, p)) for p in rest]
+    c, infos = genus
+    wit = tuple(
+        Witness(p, info.split_type, info.order_2part, _count_in_l(c, info))
+        for p, info in zip(rest, infos)
+    )
     return c, wit, _bound_check(f, c, wit)
 
 
-def _attempt(k: QuadFieldSpec, f: QuadFieldSpec, criteria=None):
-    """(certificate of the first criterion F passes or None, diagnostics); default: F's kind's."""
-    kind = _kind(f.values())
+def _attempt(k: QuadFieldSpec, f: QuadFieldSpec, kind: str, criteria=None):
+    """(certificate of the first criterion F passes or None, diagnostics); default: kind's."""
     c, wit, check = _evaluate(k, f)
     where = f"F={list(f.values())}"
     diags = []
@@ -418,8 +412,9 @@ def base_field_certificate(k: QuadFieldSpec, f: QuadFieldSpec) -> Certificate | 
     """
     _require(k.is_imaginary, "K must be imaginary")
     f = _checked_base(k, f)
-    _require(_kind(f.values()) is not None, "F's discs fit no base kind")
-    return _attempt(k, f)[0]
+    kind = _kind(f.values())
+    _require(kind is not None, "F's discs fit no base kind")
+    return _attempt(k, f, kind)[0]
 
 
 def kl_rank_lower_bound(k: QuadFieldSpec, f: QuadFieldSpec) -> int:
@@ -432,13 +427,14 @@ def kl_rank_lower_bound(k: QuadFieldSpec, f: QuadFieldSpec) -> int:
 
 
 def _base_fields(k: QuadFieldSpec):
-    """Every base field F analyze tries, in attempt order."""
+    """(F, F's kind) for every base field F analyze tries, in attempt order."""
     for size in sorted({shape.size for shape in BASE_KINDS.values()}, reverse=True):
         if k.t <= size:
             continue
         for discs in itertools.combinations(k.discs, size):
-            if _kind([d.value for d in discs]) is not None:
-                yield QuadFieldSpec(discs)
+            kind = _kind([d.value for d in discs])
+            if kind is not None:
+                yield QuadFieldSpec(discs), kind
 
 
 def _gs_certificate(k: QuadFieldSpec) -> Certificate | None:
@@ -473,9 +469,9 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
         diagnostics.append(
             Diagnostic("gs-two-rank", d2, gs_required(1), "direct Golod-Shafarevich on K")
         )
-        for f in _base_fields(k):
+        for f, kind in _base_fields(k):
             try:
-                cert, diags = _attempt(k, f)
+                cert, diags = _attempt(k, f, kind)
             except BoundExceeded:
                 # Any other base field's certificate is valid on its own.
                 diagnostics.append(
@@ -524,10 +520,11 @@ def replay_certificate(cert: Certificate, k: QuadFieldSpec) -> bool:
             fresh = _gs_certificate(k)
         else:
             f = _checked_base(k, QuadFieldSpec.from_disc_values(cert.base_field_discs))
+            kind = _kind(f.values())
             criteria = [cr for cr in CRITERIA if cr.name == cert.criterion]
-            if not criteria or criteria[0].base_kind != _kind(f.values()):
+            if not criteria or criteria[0].base_kind != kind:
                 return False
-            fresh, _ = _attempt(k, f, criteria)
+            fresh, _ = _attempt(k, f, kind, criteria)
     except (TwoTowerError, TypeError):
         return False
     return fresh is not None and _unordered(fresh) == _unordered(cert)

@@ -199,6 +199,11 @@ def test_max_disc_variable_malformed(capsys, monkeypatch):
     monkeypatch.setenv("TWO_TOWER_MAX_DISC", "abc")
     code, _, err = run(capsys, "classgroup", "--", "-399")
     assert code == 2 and "TWO_TOWER_MAX_DISC='abc' is not an integer" in err
+    for value in ("0", "-5"):
+        monkeypatch.setenv("TWO_TOWER_MAX_DISC", value)
+        code, out, err = run(capsys, "classgroup", "--", "-3")
+        assert code == 2 and out == "", value
+        assert f"TWO_TOWER_MAX_DISC='{value}' is not a positive integer" in err, value
 
 
 def test_outputs_stable_under_rerun(capsys):

@@ -175,6 +175,24 @@ def test_complete_output_pinned():
     assert digest == "ad21bada49dff59d268f74aaee43669f340d8e99ef8803ecfc0d6713b2c726e2"
 
 
+def test_complete_sieves_once_per_bound(monkeypatch):
+    # Calls at one bound share one cached prime tuple.
+    from twotower import arith
+
+    sieved = []
+    real = arith.primes_up_to
+    monkeypatch.setattr(arith, "primes_up_to", lambda n: sieved.append(n) or real(n))
+    arith._primes.cache_clear()
+    results = [complete_tuple("M49", [None, -11, -7, 13, None], 300, 3) for _ in range(10)]
+    assert sieved == [300]
+    assert [list(s.values()) for s in results[0]] == [
+        [-3, -11, -7, 13, 17],
+        [-3, -11, -7, 13, 101],
+        [-3, -11, -7, 13, 173],
+    ]
+    assert all(r == results[0] for r in results)
+
+
 def test_complete_template_mismatch():
     from twotower.errors import NotFundamental
 

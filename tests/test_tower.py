@@ -13,7 +13,13 @@ from twotower.arith import (
     primes_up_to,
 )
 from twotower.errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet
-from twotower.quadforms import _class_number_neg, _table, narrow_class_group, wide_class_group
+from twotower.quadforms import (
+    _class_number_neg,
+    _prime_info,
+    _table,
+    narrow_class_group,
+    wide_class_group,
+)
 from twotower.redei import four_rank_narrow, two_ranks
 from twotower.search import complete_tuple, dmw_family
 from twotower.tower import (
@@ -23,9 +29,8 @@ from twotower.tower import (
     Witness,
     _base_fields,
     _bound_check,
+    _count_in_l,
     _genus_witnesses,
-    _kind,
-    _witnesses,
     analyze,
     base_field_certificate,
     cl2_order,
@@ -71,6 +76,19 @@ def test_gs_monotone():
         for r in range(50):
             if gs_infinite(d2, r + 1):
                 assert gs_infinite(d2, r)
+
+
+def _gs_by_squaring(d2, r):
+    """Golod-Shafarevich, d2 >= 2 + 2*sqrt(1 + r), decided by squaring."""
+    return d2 >= 2 and (d2 - 2) ** 2 >= 4 * (1 + r)
+
+
+def test_gs_matches_squaring_reference():
+    for r in range(2001):
+        need = gs_required(r)
+        assert _gs_by_squaring(need, r) and not _gs_by_squaring(need - 1, r), r
+        for d2 in range(201):
+            assert gs_infinite(d2, r) == _gs_by_squaring(d2, r), (d2, r)
 
 
 def test_splitting_count_examples():
@@ -144,7 +162,7 @@ def test_analyze_imaginary_triples_touch_no_table():
     # those are counted and walked on reduced forms: no class table is built
     # or looked up.
     k = QuadFieldSpec.from_disc_values([-3, -7, -11, -19, -23])
-    assert {_kind(f.values()) for f in _base_fields(k)} == {"triple"}
+    assert {kind for _, kind in _base_fields(k)} == {"triple"}
     before = _table.cache_info()
     report = analyze(k)
     after = _table.cache_info()
@@ -198,7 +216,7 @@ def test_genus_path_matches_class_groups():
             continue
         c = cl2_order(f)
         assert c == 2 ** two_ranks(f)[1], f
-        assert genus == (c, _witnesses(f, c, rest)), f
+        assert genus == (c, [_prime_info(d, q, kronecker(d, q)) for q in rest]), f
         negative = min(f.values()) < 0
         on_path["imaginary" if d < 0 else "real, a negative disc" if negative else "real"] += 1
     assert on_path["imaginary"] > 1000, on_path
@@ -214,8 +232,12 @@ def test_genus_path_gives_real_f_with_a_negative_disc_its_wide_group():
     k = QuadFieldSpec.from_disc_values([-3, -7, 5, -11, 13])
     assert four_rank_narrow(f) == 0
     assert (cl2_order(f, wide=False), cl2_order(f)) == (2, 1)
-    wit = _witnesses(f, 1, [5, 11, 13])
-    assert _genus_witnesses(f, [5, 11, 13]) == (1, wit)
+    infos = [_prime_info(21, q, kronecker(21, q)) for q in (5, 11, 13)]
+    assert _genus_witnesses(f, [5, 11, 13]) == (1, infos)
+    wit = [
+        Witness(q, i.split_type, i.order_2part, _count_in_l(1, i))
+        for q, i in zip((5, 11, 13), infos)
+    ]
     assert kl_rank_lower_bound(k, f) == _bound_check(f, 1, wit).lhs
 
 
@@ -425,7 +447,7 @@ def test_one_evaluator_for_analyze_lemmas_and_kl_bound():
                 recorded[where] = d.achieved
                 if d.criterion.startswith("also-passes:"):
                     passes[where] = d.criterion.split(":", 1)[1]
-        tried = list(_base_fields(k))
+        tried = [f for f, _ in _base_fields(k)]
         assert len(recorded) == len(tried), k
         for f in tried:
             assert kl_rank_lower_bound(k, f) == recorded[f.values()], (k, f)
@@ -466,7 +488,7 @@ def test_analyze_output_pinned():
     genus_path = set()
     for k in _pinned_fields():
         h.update(analyze(k).to_json().encode())
-        genus_path |= {_genus_witnesses(f, []) is not None for f in _base_fields(k)}
+        genus_path |= {_genus_witnesses(f, []) is not None for f, _ in _base_fields(k)}
     assert genus_path == {True, False}
     assert h.hexdigest() == ANALYZE_OUTPUT_SHA256
 
