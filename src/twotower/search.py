@@ -4,18 +4,23 @@ members of the two published infinite families of base fields.
 
 complete_tuple keeps, for each hole, the primes whose Redei entries against
 the known discs are the case's fixed entries, checked with the same entry
-rule that builds the Redei matrix.  It walks the hole fillings in ascending
-|D| and stops at the `count`-th field that classifies as the case.  Each
-field it meets is classified once, on a Redei matrix put together from
-blocks made once per call (known against known, each candidate against the
-known discs) and the filling's own hole-against-hole entries, so results
-are verified, never assumed.
+rule that builds the Redei matrix.  Those entries are read off cached
+columns: per known disc, hole sign code and bound, two bitmasks over the
+code's candidate pool, one bit per candidate, so a hole's filter is a few
+ANDs of whole columns and its candidate count a popcount.  It walks the
+hole fillings in ascending |D| and stops at the `count`-th field that
+classifies as the case.  Each field it meets is classified once, on a
+Redei matrix put together from blocks made once per call (known against
+known, each candidate against the known discs, read off the same bits) and
+the filling's own hole-against-hole entries, so results are verified,
+never assumed.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+from functools import lru_cache
 from math import prod
 from typing import Iterator
 
@@ -44,6 +49,40 @@ from .tower import cl2_order
 # Fillings complete_tuple will walk at most, a few microseconds each.
 _MAX_FILLS = 10**6
 
+# Sized from the distinct keys met in a 20 s `complete` benchmark run (one
+# bound): 3 pools, one per sign code, and 36 columns, which these hold with
+# room for a few more bounds.
+_POOL_CACHE_SIZE = 8
+_COLUMN_CACHE_SIZE = 128
+
+
+@lru_cache(maxsize=_POOL_CACHE_SIZE)
+def _pool(code: str, bound: int) -> tuple[tuple[tuple[int, int], ...], dict[int, int]]:
+    """A hole's candidates for a sign code, as (v, its prime) ascending by
+    |v|, and each prime's position: -4 for '4', else -q for '-' or +q for
+    '+', q an odd prime <= bound and v = 1 (mod 4)."""
+    if code == "4":
+        pool = ((-4, 2),)
+    else:
+        sign = -1 if code == "-" else 1
+        pool = tuple((sign * q, q) for q in _primes(bound)[1:] if sign * q % 4 == 1)
+    return pool, {q: n for n, (_, q) in enumerate(pool)}
+
+
+@lru_cache(maxsize=_COLUMN_CACHE_SIZE)
+def _columns(w: int, p: int, code: str, bound: int) -> tuple[int, int]:
+    """Bitmasks over _pool(code, bound) for the prime discriminant w of
+    prime p: bit n of the first is v_n's Redei entry against p, of the
+    second w's entry against q_n.  The entry rule is taken uncached, so a
+    column's pass over the whole pool leaves _entry's slots to the
+    hole-against-hole entries of the walk."""
+    entry = _entry.__wrapped__
+    row = col = 0
+    for n, (v, q) in enumerate(_pool(code, bound)[0]):
+        row |= entry(v, p) << n
+        col |= entry(w, q) << n
+    return row, col
+
 
 def _case_by_tag(tag) -> CatalogCase:
     name = getattr(tag, "tag", tag)
@@ -51,6 +90,45 @@ def _case_by_tag(tag) -> CatalogCase:
         if case.tag == name and case.status == "open":
             return case
     raise TemplateMismatch(f"unknown or non-open catalog case {name!r}")
+
+
+def _candidates(
+    cat: CatalogCase, known: dict[int, PrimeDiscriminant], holes: list[int], bound: int
+) -> list[list[tuple[int, int, list[tuple[int, int]]]]]:
+    """Per hole, ascending by |v|: (v, its prime, the (row, column) positions
+    where its Redei entries against the known discs are 1), for the v that
+    pass complete_tuple's filter.  ValueError when they give more than
+    _MAX_FILLS fillings, counted before any list is built."""
+    known_primes = {d.prime for d in known.values()}
+    # Per hole, the bits of its pool it keeps and (i, row mask, column mask)
+    # for each known disc i; -4 takes no entry filter.
+    kept = []
+    for j in holes:
+        code = cat.signs[j]
+        pool, where = _pool(code, bound)
+        keep = (1 << len(pool)) - 1
+        for p in known_primes & where.keys():
+            keep &= ~(1 << where[p])
+        cols = [(i,) + _columns(d.value, d.prime, code, bound) for i, d in known.items()]
+        if code != "4":
+            for i, row, col in cols:
+                for mask, want in ((row, cat.fixed[j][i]), (col, cat.fixed[i][j])):
+                    if want is not None:
+                        keep &= mask if want else ~mask
+        kept.append((j, pool, keep, cols))
+    fills = prod(keep.bit_count() for _, _, keep, _ in kept)
+    if fills > _MAX_FILLS:
+        raise ValueError(f"{fills} hole fillings to try, above the cap of {_MAX_FILLS}")
+    candidates = []
+    for j, pool, keep, cols in kept:
+        candidates.append([])
+        while keep:
+            n = (keep & -keep).bit_length() - 1
+            keep &= keep - 1
+            ones = [(j, i) for i, row, _ in cols if row >> n & 1]
+            ones += [(i, j) for i, _, col in cols if col >> n & 1]
+            candidates[-1].append(pool[n] + (ones,))
+    return candidates
 
 
 def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldSpec]:
@@ -70,10 +148,17 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     slots: FamD2d (-4, -19, -43, 29, 37) completes (-4, _, _, 29, 37) and
     fits under (0, 2, 1, 3, 4).  A field that fits only when known discs
     move is never tried: D1 with holes at slots 2 and 4 of (-4, -11, -43,
-    -7, -3) misses |D| = 43428, (-4, -3, -7, -11, -47).  Returns the first
-    `count` distinct fields by |D|; raises Exhausted when nothing completes
-    and ValueError when `count` is below 1 or the holes' candidate lists
-    give more than _MAX_FILLS fillings, before any is tried.
+    -7, -3) misses |D| = 43428, (-4, -3, -7, -11, -47).
+
+    A hole's candidates are its code's pool (_pool, cached per code and
+    bound) less the known primes, ANDed with each known disc's cached
+    columns (_columns, keyed on the disc, its prime, the code and the bound:
+    bit n of one is the nth candidate's entry against the disc, of the other
+    the disc's entry against the candidate) or their complements wherever
+    the case fixes an entry.  Returns the first `count` distinct fields by
+    |D|; raises Exhausted when nothing completes and ValueError when `count`
+    is below 1 or the holes' candidate lists give more than _MAX_FILLS
+    fillings, counted exactly by popcount before any is tried.
     """
     if count < 1:
         raise ValueError(f"count must be at least 1, not {count}")
@@ -93,53 +178,13 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
         raise TemplateMismatch("known discs share an underlying prime")
     # Redei entries in slot order, zero on the diagonal: known against known
     # here, where they must already match the case, each candidate's against
-    # the known discs in its filter pass, hole against hole per filling.
+    # the known discs from the cached columns, hole against hole per filling.
     base = [[0] * 5 for _ in range(5)]
     for i, j in itertools.permutations(known, 2):
         base[i][j] = _entry(known[i].value, known[j].prime)
         if cat.fixed[i][j] not in (None, base[i][j]):
             raise Exhausted(f"known discs violate fixed entry ({i},{j}); no completion exists")
-    odd_primes = [q for q in _primes(bound)[1:] if q not in known_primes]
-    # Per hole, ascending by |v|: (v, its prime, the (row, column) positions
-    # where its Redei entries against the known discs are 1).
-    candidates: list[list[tuple[int, int, list[tuple[int, int]]]]] = []
-    for j in holes:
-        code = cat.signs[j]
-        if code == "4":
-            pool = [] if 2 in known_primes else [(-4, 2)]
-        else:
-            sign = -1 if code == "-" else 1
-            pool = [(sign * q, q) for q in odd_primes if sign * q % 4 == 1]
-        # (i, p_i*, p_i, the entries allowed at (j, i), those at (i, j)) for
-        # each known disc; -4 takes no entry filter.
-        wants = [
-            (i, d.value, d.prime)
-            + tuple(
-                (0, 1) if code == "4" or want is None else (want,)
-                for want in (cat.fixed[j][i], cat.fixed[i][j])
-            )
-            for i, d in known.items()
-        ]
-        keep = []
-        for v, q in pool:
-            ones = []
-            for i, w, p, row_ok, col_ok in wants:
-                a = _entry(v, p)
-                if a not in row_ok:
-                    break
-                b = _entry(w, q)
-                if b not in col_ok:
-                    break
-                if a:
-                    ones.append((j, i))
-                if b:
-                    ones.append((i, j))
-            else:
-                keep.append((v, q, ones))
-        candidates.append(keep)
-    fills = prod(map(len, candidates))
-    if fills > _MAX_FILLS:
-        raise ValueError(f"{fills} hole fillings to try, above the cap of {_MAX_FILLS}")
+    candidates = _candidates(cat, known, holes, bound)
     n = len(holes)
     hole_pairs = [(holes[x], holes[y], x, y) for x, y in itertools.permutations(range(n), 2)]
     # Fillings are index tuples into the candidate lists, walked from a heap
@@ -149,7 +194,7 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     # The sign codes fix the sign of D (odd count of negatives: imaginary),
     # and equal |D| means one field, whose verdict no order of its discs moves.
     heap = []
-    if fills and sum(code != "+" for code in cat.signs) % 2:
+    if all(candidates) and sum(code != "+" for code in cat.signs) % 2:
         absd = prod(abs(d.value) for d in known.values()) * prod(abs(c[0][0]) for c in candidates)
         heap.append((absd, (0,) * n))
     results: list[QuadFieldSpec] = []

@@ -352,10 +352,11 @@ def _genus_witnesses(f: QuadFieldSpec, primes) -> tuple[int, list[PrimeClassInfo
 def _evaluate(k: QuadFieldSpec, f: QuadFieldSpec):
     """(|Cl_2(F)|, the witnesses at K's primes unramified in F, the bound check).
 
-    Past F's bound check, c and the witness primes' classes come from genus
-    theory for F of narrow Redei 4-rank 0 (_genus_witnesses: no class
-    number, table or form powering), else from cl2_order (wide, as L =
-    F^1_(2) is unramified at infinity too) and a class lookup per prime.
+    Past F's one bound check, c and the witness primes' classes come from
+    genus theory for F of narrow Redei 4-rank 0 (_genus_witnesses: no class
+    number, table or form powering), else from the 2-part of the wide class
+    number (as L = F^1_(2) is unramified at infinity too) and a class
+    lookup per prime.
     Here alone _count_in_l makes each class a Witness.
     """
     rest = [d.prime for d in k.discs if d not in f.discs]
@@ -363,7 +364,8 @@ def _evaluate(k: QuadFieldSpec, f: QuadFieldSpec):
     _check_bound(d)
     genus = _genus_witnesses(f, rest)
     if genus is None:
-        genus = cl2_order(f), [_prime_info(d, p, kronecker(d, p)) for p in rest]
+        h = _class_number(d, True)
+        genus = h & -h, [_prime_info(d, p, kronecker(d, p)) for p in rest]
     c, infos = genus
     wit = tuple(
         Witness(p, info.split_type, info.order_2part, _count_in_l(c, info))

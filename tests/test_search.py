@@ -15,7 +15,7 @@ from twotower.arith import (
 )
 from twotower.errors import Exhausted, TemplateMismatch
 from twotower.quadforms import wide_class_group
-from twotower.redei import catalog_cases, classify_open_case, f2_rank, redei_matrix
+from twotower.redei import _entry, catalog_cases, classify_open_case, f2_rank, redei_matrix
 from twotower import search
 from twotower.search import complete_tuple, dmw_family, find_base_fields, lopez_family
 
@@ -183,6 +183,8 @@ def test_complete_sieves_once_per_bound(monkeypatch):
     real = arith.primes_up_to
     monkeypatch.setattr(arith, "primes_up_to", lambda n: sieved.append(n) or real(n))
     arith._primes.cache_clear()
+    search._pool.cache_clear()
+    search._columns.cache_clear()
     results = [complete_tuple("M49", [None, -11, -7, 13, None], 300, 3) for _ in range(10)]
     assert sieved == [300]
     assert [list(s.values()) for s in results[0]] == [
@@ -215,6 +217,100 @@ def test_complete_refuses_too_many_fillings(within):
     # five holes of A at bound 1000 would be about 5e9 fillings to walk
     with within(2), pytest.raises(ValueError, match=r"fillings to try, above the cap of 1000000"):
         complete_tuple("A", [None] * 5, 1000)
+
+
+def reference_candidates(cat, known, holes, bound):
+    """complete_tuple's hole filter as it was before the cached columns: per
+    hole, each candidate's entries against the known discs looked up one by
+    one, the first that misses a fixed entry dropping it; -4 is not filtered."""
+    known_primes = {d.prime for d in known.values()}
+    odd_primes = [q for q in primes_up_to(bound)[1:] if q not in known_primes]
+    candidates = []
+    for j in holes:
+        code = cat.signs[j]
+        if code == "4":
+            pool = [] if 2 in known_primes else [(-4, 2)]
+        else:
+            sign = -1 if code == "-" else 1
+            pool = [(sign * q, q) for q in odd_primes if sign * q % 4 == 1]
+        keep = []
+        for v, q in pool:
+            ones = []
+            for i, d in known.items():
+                a, b = _entry(v, d.prime), _entry(d.value, q)
+                if code != "4" and cat.fixed[j][i] not in (None, a):
+                    break
+                if code != "4" and cat.fixed[i][j] not in (None, b):
+                    break
+                ones += [(j, i)] * a + [(i, j)] * b
+            else:
+                keep.append((v, q, sorted(ones)))
+        candidates.append(keep)
+    return candidates
+
+
+def test_hole_candidates_match_per_candidate_filter():
+    # Every hole, pair and triple of one member of each open case, and of
+    # members with a known 8 or -8, at three bounds: the bitmask filter
+    # keeps the candidates, in order, with the entries, that the one-by-one
+    # filter kept.
+    cases = {c.tag: c for c in catalog_cases() if c.status == "open"}
+    members = [(tag, CATALOG_MEMBERS[tag]) for tag in cases] + [
+        ("M28", (-7, -3, -47, 8, 5)),
+        ("B", (-8, -47, -31, -43, -3)),
+        ("FamD2c", (-4, -19, -31, 8, 37)),  # 8 takes the prime of a '4' hole
+        ("C", (-4, -3, -31, -43, -7)),  # -4 misses C's a_50 = 1 but stays
+    ]
+    compared = dropped = fours = 0
+    for tag, member in members:
+        cat = cases[tag]
+        for k in (1, 2, 3):
+            for holes in itertools.combinations(range(5), k):
+                holes = list(holes)
+                known = {
+                    i: PrimeDiscriminant.from_value(v)
+                    for i, v in enumerate(member)
+                    if i not in holes
+                }
+                for bound in (150, 300, 1000):
+                    got = search._candidates(cat, known, holes, bound)
+                    want = reference_candidates(cat, known, holes, bound)
+                    assert [[(v, q, sorted(ones)) for v, q, ones in c] for c in got] == want, (
+                        tag,
+                        member,
+                        holes,
+                        bound,
+                    )
+                    compared += 1
+                    fours += sum(cat.signs[j] == "4" for j in holes)
+                    dropped += sum(
+                        d.prime <= bound and slot_ok(cat.signs[j], d)
+                        for j in holes
+                        for d in known.values()
+                    )
+    assert compared == 20 * 25 * 3
+    assert fours > 0 and dropped > 0
+    cat = cases["FamD2c"]
+    known = {3: PrimeDiscriminant.from_value(8)}
+    assert search._candidates(cat, known, [0, 1, 2, 4], 150)[0] == []
+
+
+def test_complete_cap_counts_fillings_exactly(within):
+    # five holes of A at bound 1000: 87 candidates each, 87**5 fillings,
+    # refused at once
+    with within(2), pytest.raises(ValueError) as refused:
+        complete_tuple("A", [None] * 5, 1000)
+    assert str(refused.value) == "4984209207 hole fillings to try, above the cap of 1000000"
+    cat = search._case_by_tag("A")
+    lists = reference_candidates(cat, {}, list(range(5)), 1000)
+    assert list(map(len, lists)) == [87] * 5
+    # five holes of A at bound 80: 12 candidates each, 248,832 fillings,
+    # under the cap
+    lists = search._candidates(cat, {}, list(range(5)), 80)
+    assert list(map(len, lists)) == [12] * 5
+    with within(5):
+        (spec,) = complete_tuple("A", [None] * 5, 80, count=1)
+    assert classify_open_case(spec).tag == "A"
 
 
 def test_complete_count_below_one():
