@@ -647,20 +647,6 @@ class AbelianGroupStructure:
     def four_rank(self) -> int:
         return self.rank(2, 2)
 
-    @property
-    def two_part_order(self) -> int:
-        out = 1
-        for d in self.elementary_divisors:
-            out *= d & -d
-        return out
-
-    @property
-    def max_cyclic_2power(self) -> int:
-        best = 1
-        for d in self.elementary_divisors:
-            best = max(best, d & -d)
-        return best
-
     def describe(self) -> str:
         if not self.elementary_divisors:
             return "trivial (order 1)"

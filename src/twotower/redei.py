@@ -60,17 +60,19 @@ def _with_diagonal(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
 
 
 def f2_rank(entries: tuple[tuple[int, ...], ...]) -> int:
-    """Rank over F2 of a square matrix's rows, such as redei_matrix's, by
-    Gaussian elimination on row bitmasks."""
-    rows = [sum(bit << k for k, bit in enumerate(row)) for row in entries]
-    rank = 0
-    for k in range(len(entries)):
-        pivot = next((r for r in rows if r >> k & 1), None)
-        if pivot is None:
-            continue
-        rank += 1
-        rows = [r ^ pivot if r >> k & 1 else r for r in rows if r != pivot]
-    return rank
+    """Rank over F2 of a square matrix's rows, such as redei_matrix's."""
+    return _mask_rank([sum(bit << k for k, bit in enumerate(row)) for row in entries])
+
+
+def _mask_rank(vectors) -> int:
+    """Rank over F2 of int bitmasks: each is reduced by the basis so far."""
+    basis: list[int] = []
+    for v in vectors:
+        for b in basis:
+            v = min(v, v ^ b)
+        if v:
+            basis.append(v)
+    return len(basis)
 
 
 def _four_rank(entries: tuple[tuple[int, ...], ...]) -> int:

@@ -8,36 +8,30 @@ from the decomposition law, never from constructing L.  Everything that
 fails is recorded as a near-miss diagnostic.
 
 The table CRITERIA, with the base-field shapes in BASE_KINDS, is the
-single source of the base-field criteria and their attempt order.  A base
-field is a QuadFieldSpec F throughout: _checked_base is the one check of F
-against K, and _kind finds F's shape from its discs' signs once per base
-field (_base_fields yields it beside F).  analyze, base_field_certificate
-and kl_rank_lower_bound run them, and so does replay_certificate: it
-recomputes a certificate and compares.  gs_required states the
-Golod-Shafarevich threshold once; gs_infinite compares with it.
+single source of the base-field criteria and their attempt order.
+analyze, base_field_certificate and kl_rank_lower_bound run them, and so
+does replay_certificate: it recomputes a certificate and compares.
+gs_required states the Golod-Shafarevich threshold once.
 
-_evaluate is the one route from F to |Cl_2(F)|, its Witness records and
-the bound.  F's discriminant is fundamental by construction, so only its
-bound is checked and no base field is factored.  Both sources give c and
-one PrimeClassInfo per witness prime.  Every F of narrow Redei 4-rank 0,
-of either sign, takes one genus-theory rule (_genus_witnesses): c is 2 to
-F's wide 2-rank, and each witness's type and order 2-part follow from the
-Redei entries of F's discs at the witness, the cached Kronecker symbols
-of K's own Redei matrix, compared with F's sign vector.  An F of 4-rank
-above 0 counts its class number: for an imaginary F no class table is
-built, h is counted once on reduced forms (cached) and each witness's
-order 2-part comes from powering its prime form; a real F reads both off
-its class table.
+A base field F is a subset sub of K's discs, so every Redei entry F needs
+is one of K's: each call reads K's Redei matrix once into _Masks, a column
+bitmask per disc and K's sign mask.  _checked_base turns a given F into
+sub, _base_fields yields analyze's, and _kind counts signs.  _evaluate is
+the one route from sub to |Cl_2(F)|, its Witness records and the bound
+(only checked: d_F is fundamental by construction).  An F of narrow Redei
+4-rank 0 takes the genus rule on the masks (_genus_witnesses).  Else h is
+counted, on reduced forms for an imaginary F (each witness's order 2-part
+from powering its prime form) and off the class table for a real F.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, replace
-from math import isqrt
+from dataclasses import asdict, dataclass, replace
+from math import isqrt, prod
 
-from .arith import QuadFieldSpec, kronecker
+from .arith import QuadFieldSpec
 from .errors import BoundExceeded, DivisibilityViolation, PreconditionUnmet, TwoTowerError
 from .quadforms import (
     _INERT,
@@ -48,7 +42,7 @@ from .quadforms import (
     max_disc_bound,
     prime_class_info,
 )
-from .redei import CaseId, _classify, _entry, _four_rank, redei_matrix, two_ranks
+from .redei import CaseId, _classify, _four_rank, _mask_rank, redei_matrix, two_ranks
 
 
 def gs_infinite(d2: int, unit_2rank: int) -> bool:
@@ -106,12 +100,9 @@ class Witness:
     count_in_l: int
 
     def to_json_dict(self) -> dict:
-        return {
-            "prime": self.prime,
-            "split_type": self.split_type,
-            "order_2part": self.order_2part,
-            "count_in_L": self.count_in_l,
-        }
+        out = asdict(self)
+        out["count_in_L"] = out.pop("count_in_l")  # renamed, and still the last key
+        return out
 
 
 @dataclass(frozen=True)
@@ -127,12 +118,7 @@ class ThresholdCheck:
         return self.lhs >= self.required
 
     def to_json_dict(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "required": self.required,
-            "unit_2rank": self.unit_2rank,
-            "totally_real": self.totally_real,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -165,12 +151,7 @@ class Diagnostic:
     detail: str = ""
 
     def to_json_dict(self) -> dict:
-        return {
-            "criterion": self.criterion,
-            "achieved": self.achieved,
-            "required": self.required,
-            "detail": self.detail,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -201,8 +182,8 @@ class TowerReport:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=False)
 
 
-def _bound_check(f: QuadFieldSpec, c: int, witnesses) -> ThresholdCheck:
-    """Golod-Shafarevich on KL from F's c = |Cl_2(F)| and witnesses.
+def _bound_check(d: int, c: int, witnesses) -> ThresholdCheck:
+    """Golod-Shafarevich on KL from F's discriminant d, c = |Cl_2(F)| and witnesses.
 
     L is the Hilbert 2-class field of F, of degree 2c over Q, and KL/L is
     quadratic.  Roquette-Zassenhaus (as in Schoof, J. reine angew. Math.
@@ -217,7 +198,7 @@ def _bound_check(f: QuadFieldSpec, c: int, witnesses) -> ThresholdCheck:
     in this soundness.
     """
     total = sum(w.count_in_l for w in witnesses)
-    imaginary = f.discriminant < 0
+    imaginary = d < 0
     lhs = total - 1 - (c if imaginary else 0)
     return ThresholdCheck(lhs, gs_required(2 * c), 2 * c, not imaginary)
 
@@ -241,19 +222,9 @@ class Criterion:
     min_inert: int
     min_total_split: int = 0
 
-    def shortfalls(self, c: int, witnesses) -> list[tuple[str, int, int]]:
-        """(part, achieved, required) for every minimum F falls short of."""
-        achieved = (
-            c,
-            sum(1 for w in witnesses if w.split_type == "inert"),
-            sum(1 for w in witnesses if w.split_type == "split" and w.order_2part == 1),
-        )
-        required = (self.min_cl2, self.min_inert, self.min_total_split)
-        return [
-            (part, got, need)
-            for part, got, need in zip(("cl2", "inert", "split-complete"), achieved, required)
-            if got < need
-        ]
+
+# The parts of a criterion's shortfall diagnostics, one per minimum above.
+_PARTS = ("cl2", "inert", "split-complete")
 
 
 BASE_KINDS = {
@@ -275,114 +246,154 @@ CRITERIA = (
 )
 
 
-def _kind(values) -> str | None:
-    """The base kind whose size and signs F's disc values fit; the kinds are disjoint."""
-    positives = sum(v > 0 for v in values)
+def _kind(sub: int, neg: int) -> str | None:
+    """The base kind that the F on the discs in sub fits (see _Masks); the kinds are disjoint."""
+    size, positives = sub.bit_count(), (sub & ~neg).bit_count()
     for kind, shape in BASE_KINDS.items():
-        if len(values) == shape.size and positives in shape.positives:
+        if size == shape.size and positives in shape.positives:
             return kind
     return None
 
 
-def _checked_base(k: QuadFieldSpec, f: QuadFieldSpec) -> QuadFieldSpec:
-    """F with its discs in K's order.
+@dataclass(frozen=True)
+class _Masks:
+    """K's Redei matrix as bitmasks: bit i of cols[j] is _entry(d_i, p_j) for
+    i != j, and bit i of neg is set when d_i < 0.  For the F on the discs
+    in sub, cols[j] & sub is F's Redei column j (off the diagonal) for j in
+    sub, and the genus characters of the witness p_j for j outside it."""
+
+    values: tuple[int, ...]
+    primes: tuple[int, ...]
+    cols: tuple[int, ...]
+    neg: int
+
+    def values_of(self, sub: int) -> tuple[int, ...]:
+        return tuple(v for i, v in enumerate(self.values) if sub >> i & 1)
+
+
+def _masks(k: QuadFieldSpec, m=None) -> _Masks:
+    """K's _Masks, read off its Redei matrix m (built here when not given)."""
+    m, t = m or redei_matrix(k), k.t
+    cols = tuple(sum(m[i][j] << i for i in range(t) if i != j) for j in range(t))
+    neg = sum(1 << i for i, d in enumerate(k.discs) if d.value < 0)
+    return _Masks(k.values(), tuple(d.prime for d in k.discs), cols, neg)
+
+
+def _checked_base(k: QuadFieldSpec, f: QuadFieldSpec) -> tuple[_Masks, int, str | None]:
+    """(K's _Masks, F's discs as a subset sub of K's, F's kind or None).
 
     Raises DivisibilityViolation unless F's discs are discs of K that leave
     at least one prime of K unramified.
     """
-    discs = tuple(d for d in k.discs if d in f.discs)
-    if len(discs) < f.t:
+    sub = sum(1 << i for i, d in enumerate(k.discs) if d in f.discs)
+    if sub.bit_count() < f.t:
         raise DivisibilityViolation("F's prime discriminants must divide K's")
-    if len(discs) == k.t:
+    if sub.bit_count() == k.t:
         raise DivisibilityViolation("at least one prime of K must be unramified in F")
-    return QuadFieldSpec(discs)
+    g = _masks(k)
+    return g, sub, _kind(sub, g.neg)
 
 
-# A split prime's class info under _genus_witnesses: order 2-part 1 when its
-# Redei entries are 0 or F's sign vector, else 2.
+def _four_rank_of(sub: int, cols) -> int:
+    """Narrow Redei 4-rank |sub| - 1 - rank(R_F) of the F on the discs in sub;
+    R_F's column j is cols[j] & sub, its diagonal bit set to the parity."""
+    on = [j for j in range(sub.bit_length()) if sub >> j & 1]
+    vecs = [(a := cols[j] & sub) | (a.bit_count() & 1) << j for j in on]
+    return len(on) - 1 - _mask_rank(vecs)
+
+
+def _genus_order(sub: int, neg: int) -> int:
+    """2 to the wide 2-rank of the F on the discs in sub, as two_ranks: 2^(|sub| - 1),
+    halved for a real F with a negative disc."""
+    s = (sub & neg).bit_count()
+    return 1 << (sub.bit_count() - 1 - (s > 0 and s % 2 == 0))
+
+
+def _symbol(a: int) -> int:
+    """(d_F/q) from q's Redei entries a against F's discs: -1 when an odd number are 1."""
+    return -1 if a.bit_count() & 1 else 1
+
+
+# A split prime's class info under _genus_witnesses: order 2-part 1, else 2.
 _GENUS_SPLIT = (PrimeClassInfo("split", 1), PrimeClassInfo("split", 2))
 
 
-def _genus_witnesses(f: QuadFieldSpec, primes) -> tuple[int, list[PrimeClassInfo]] | None:
-    """(|Cl_2(F)|, the class info of each prime in primes) by genus theory
-    alone; None when F's narrow Redei 4-rank is above 0.
-
-    With t = F.t, d_1..d_t F's discs and s the F2 vector with s_i = 1
-    exactly when d_i < 0:
+def _genus_witnesses(sub: int, neg: int, cols, rest) -> tuple[int, list[PrimeClassInfo]] | None:
+    """(|Cl_2(F)|, the class info of each p_j, j in rest) by genus theory
+    alone for the F on the discs in sub, or None when F's narrow Redei
+    4-rank is above 0.  cols and neg are as in _Masks, at any primes p_j
+    prime to d_F.  With t = |sub|, d_1..d_t F's discs and s = neg & sub:
 
     - Elementary narrow Cl_2.  Genus theory gives the narrow 2-rank t - 1,
-      and Redei-Reichardt the narrow 4-rank t - 1 - rank(R_F), here 0.  So
+      and Redei-Reichardt the narrow 4-rank (_four_rank_of), here 0.  So
       the narrow Cl_2 is elementary abelian of order 2^(t-1).
     - c from the wide 2-rank.  Cl^+ -> Cl is onto, and its kernel is
       generated by the narrow class k of a principal ideal whose generator
-      has negative norm.  So the wide Cl_2 is the elementary narrow one
-      modulo a subgroup of order 1 or 2, itself elementary, and c is 2 to
-      its wide 2-rank, which two_ranks derives.  For F imaginary k is
-      trivial and c = 2^(t-1).  For F real with every d_i > 0, d_F is a sum
-      of two squares, the wide 2-rank is t - 1, and so c = 2^(t-1) and k is
-      trivial too.  For F real with a negative disc, d_F is no sum of two
-      squares, the wide 2-rank is t - 2, and c = 2^(t-2): k is not trivial.
+      has negative norm.  So the wide Cl_2 is the narrow one modulo a
+      subgroup of order 1 or 2, itself elementary, and c is 2 to its wide
+      2-rank (_genus_order): t - 1 for F imaginary (k trivial) and for F
+      real with every d_i > 0 (d_F a sum of two squares, k trivial), and
+      t - 2 for F real with a negative disc (no sum of two squares).
     - Genus characters as Kronecker symbols.  At a prime q not dividing
       d_F the genus characters of a prime of F above q are the symbols
-      (d_i/q), whose F2 entries a_i = _entry(d_i, q) are Redei entries of
-      K when F's discs and q are K's.  (d_F/q) is their product, so q is
-      inert iff sum a_i is odd; an inert prime is principal, generated by
-      the positive q: order 2-part 1, count c.
+      (d_i/q), whose F2 entries are the bits a = cols[j] & sub.  (d_F/q)
+      is their product, so q is inert iff a has an odd number of bits; an
+      inert prime is principal, generated by the positive q: order 2-part
+      1, count c.
     - Frobenius test.  The kernel of the genus characters is the square
       classes, so with the narrow Cl_2 elementary a narrow class's 2-part
       is fixed by its characters, and k's are the signs of the d_i (the
       characters at -1): entries s.  So a split prime's wide class has
       order 2-part 1 exactly when a is 0 or s, and 2 otherwise;
       _count_in_l gives the count from c.  No sign case is needed: for F
-      imaginary sum s_i is odd, so a = s is inert and never reaches the
-      test; for F real with every d_i > 0, s is 0.
+      imaginary s has an odd number of bits, so a = s is inert and never
+      reaches the test; for F real with every d_i > 0, s is 0.
     """
-    values = f.values()
-    if _four_rank(redei_matrix(f)):
+    if _four_rank_of(sub, cols):
         return None
-    c = 1 << two_ranks(f)[1]
-    s = [int(v < 0) for v in values]
+    s = neg & sub
     infos = []
-    for q in primes:
-        a = [_entry(v, q) for v in values]
-        infos.append(_INERT if sum(a) % 2 else _GENUS_SPLIT[any(a) and a != s])
-    return c, infos
+    for j in rest:
+        a = cols[j] & sub
+        infos.append(_INERT if a.bit_count() & 1 else _GENUS_SPLIT[a != 0 and a != s])
+    return _genus_order(sub, neg), infos
 
 
-def _evaluate(k: QuadFieldSpec, f: QuadFieldSpec):
-    """(|Cl_2(F)|, the witnesses at K's primes unramified in F, the bound check).
-
-    Past F's one bound check, c and the witness primes' classes come from
-    genus theory for F of narrow Redei 4-rank 0 (_genus_witnesses: no class
-    number, table or form powering), else from the 2-part of the wide class
-    number (as L = F^1_(2) is unramified at infinity too) and a class
-    lookup per prime.
-    Here alone _count_in_l makes each class a Witness.
+def _evaluate(g: _Masks, sub: int):
+    """(|Cl_2(F)|, the witnesses at K's primes unramified in F, the bound check)
+    for the F on the discs in sub.  c and the witnesses' classes come from
+    the genus rule on g's masks, or for F of 4-rank above 0 from the 2-part
+    of the wide class number (L = F^1_(2) is unramified at infinity too)
+    and a class lookup per prime.  Here alone _count_in_l makes Witnesses.
     """
-    rest = [d.prime for d in k.discs if d not in f.discs]
-    d = f.discriminant
+    d = prod(g.values_of(sub))
     _check_bound(d)
-    genus = _genus_witnesses(f, rest)
+    rest = [j for j in range(len(g.primes)) if not sub >> j & 1]
+    genus = _genus_witnesses(sub, g.neg, g.cols, rest)
     if genus is None:
         h = _class_number(d, True)
-        genus = h & -h, [_prime_info(d, p, kronecker(d, p)) for p in rest]
+        genus = h & -h, [_prime_info(d, g.primes[j], _symbol(g.cols[j] & sub)) for j in rest]
     c, infos = genus
     wit = tuple(
-        Witness(p, info.split_type, info.order_2part, _count_in_l(c, info))
-        for p, info in zip(rest, infos)
+        Witness(g.primes[j], info.split_type, info.order_2part, _count_in_l(c, info))
+        for j, info in zip(rest, infos)
     )
-    return c, wit, _bound_check(f, c, wit)
+    return c, wit, _bound_check(d, c, wit)
 
 
-def _attempt(k: QuadFieldSpec, f: QuadFieldSpec, kind: str, criteria=None):
+def _attempt(g: _Masks, sub: int, kind: str, criteria=None):
     """(certificate of the first criterion F passes or None, diagnostics); default: kind's."""
-    c, wit, check = _evaluate(k, f)
-    where = f"F={list(f.values())}"
+    c, wit, check = _evaluate(g, sub)
+    values = g.values_of(sub)
+    inert = sum(w.split_type == "inert" for w in wit)
+    complete = sum(w.split_type == "split" and w.order_2part == 1 for w in wit)
+    where = f"F={list(values)}"
     diags = []
     for cr in criteria or [cr for cr in CRITERIA if cr.base_kind == kind]:
-        short = cr.shortfalls(c, wit)
+        needs = zip(_PARTS, (c, inert, complete), (cr.min_cl2, cr.min_inert, cr.min_total_split))
+        short = [(part, got, need) for part, got, need in needs if got < need]
         if not short and check.holds():
-            return Certificate(cr.name, f.values(), c, wit, check), []
+            return Certificate(cr.name, values, c, wit, check), []
         diags += [Diagnostic(f"{cr.name}:{part}", got, need, where) for part, got, need in short]
     diags.append(
         Diagnostic(
@@ -413,10 +424,9 @@ def base_field_certificate(k: QuadFieldSpec, f: QuadFieldSpec) -> Certificate | 
     skipped:bound diagnostic and goes on.
     """
     _require(k.is_imaginary, "K must be imaginary")
-    f = _checked_base(k, f)
-    kind = _kind(f.values())
+    g, sub, kind = _checked_base(k, f)
     _require(kind is not None, "F's discs fit no base kind")
-    return _attempt(k, f, kind)[0]
+    return _attempt(g, sub, kind)[0]
 
 
 def kl_rank_lower_bound(k: QuadFieldSpec, f: QuadFieldSpec) -> int:
@@ -425,18 +435,22 @@ def kl_rank_lower_bound(k: QuadFieldSpec, f: QuadFieldSpec) -> int:
     The call is about the one field F, so an F above the discriminant bound
     raises BoundExceeded by design rather than degrading as analyze does.
     """
-    return _evaluate(k, _checked_base(k, f))[2].lhs
+    g, sub, _ = _checked_base(k, f)
+    return _evaluate(g, sub)[2].lhs
 
 
-def _base_fields(k: QuadFieldSpec):
-    """(F, F's kind) for every base field F analyze tries, in attempt order."""
+def _base_fields(g: _Masks):
+    """(sub, F's kind) for every base field F analyze tries, in attempt order:
+    largest first, and in combination order of K's disc indices within a size."""
+    t = len(g.values)
     for size in sorted({shape.size for shape in BASE_KINDS.values()}, reverse=True):
-        if k.t <= size:
+        if t <= size:
             continue
-        for discs in itertools.combinations(k.discs, size):
-            kind = _kind([d.value for d in discs])
+        for idx in itertools.combinations(range(t), size):
+            sub = sum(1 << i for i in idx)
+            kind = _kind(sub, g.neg)
             if kind is not None:
-                yield QuadFieldSpec(discs), kind
+                yield sub, kind
 
 
 def _gs_certificate(k: QuadFieldSpec) -> Certificate | None:
@@ -471,17 +485,16 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
         diagnostics.append(
             Diagnostic("gs-two-rank", d2, gs_required(1), "direct Golod-Shafarevich on K")
         )
-        for f, kind in _base_fields(k):
+        g = _masks(k, m)
+        for sub, kind in _base_fields(g):
             try:
-                cert, diags = _attempt(k, f, kind)
+                cert, diags = _attempt(g, sub, kind)
             except BoundExceeded:
                 # Any other base field's certificate is valid on its own.
+                values = g.values_of(sub)
                 diagnostics.append(
                     Diagnostic(
-                        "skipped:bound",
-                        abs(f.discriminant),
-                        max_disc_bound(),
-                        f"F={list(f.values())}",
+                        "skipped:bound", abs(prod(values)), max_disc_bound(), f"F={list(values)}"
                     )
                 )
                 continue
@@ -521,12 +534,11 @@ def replay_certificate(cert: Certificate, k: QuadFieldSpec) -> bool:
         if cert.criterion == "gs-two-rank":
             fresh = _gs_certificate(k)
         else:
-            f = _checked_base(k, QuadFieldSpec.from_disc_values(cert.base_field_discs))
-            kind = _kind(f.values())
+            g, sub, kind = _checked_base(k, QuadFieldSpec.from_disc_values(cert.base_field_discs))
             criteria = [cr for cr in CRITERIA if cr.name == cert.criterion]
             if not criteria or criteria[0].base_kind != kind:
                 return False
-            fresh, _ = _attempt(k, f, kind, criteria)
+            fresh, _ = _attempt(g, sub, kind, criteria)
     except (TwoTowerError, TypeError):
         return False
     return fresh is not None and _unordered(fresh) == _unordered(cert)

@@ -825,7 +825,8 @@ def test_bound_and_fundamentality_checks(monkeypatch):
 def test_inverse_and_rank_helpers():
     g = narrow_class_group(-399)
     assert g.two_rank == 2 and g.four_rank == 1 and g.rank(2, 3) == 1 and g.rank(2, 4) == 0
-    assert g.two_part_order == 16 and g.max_cyclic_2power == 8
+    parts = [e & -e for e in g.elementary_divisors]
+    assert prod(parts) == 16 and max(parts) == 8
     f = QuadForm(2, 1, 50)
     assert compose(f, inverse(f)) == principal_form(-399)
 

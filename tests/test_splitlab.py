@@ -191,7 +191,7 @@ def _reference_real_pair(l1, l2, bound, wide):
 def _reference_imag_triple(ordered, bound, wide):
     d = ordered.discriminant
     table = _ClassTable(d)
-    max_cyclic = table.group(wide).max_cyclic_2power
+    max_cyclic = max((e & -e for e in table.group(wide).elementary_divisors), default=1)
     checked, bad = 0, []
     for p in primes_up_to(bound):
         if d % p == 0:

@@ -1,6 +1,8 @@
 import dataclasses
 import hashlib
+import itertools
 import json
+import math
 import random
 
 import pytest
@@ -20,7 +22,7 @@ from twotower.quadforms import (
     narrow_class_group,
     wide_class_group,
 )
-from twotower.redei import four_rank_narrow, two_ranks
+from twotower.redei import _entry, four_rank_narrow, redei_matrix, two_ranks
 from twotower.search import complete_tuple, dmw_family
 from twotower.tower import (
     CRITERIA,
@@ -30,7 +32,11 @@ from twotower.tower import (
     _base_fields,
     _bound_check,
     _count_in_l,
+    _four_rank_of,
+    _genus_order,
     _genus_witnesses,
+    _masks,
+    _symbol,
     analyze,
     base_field_certificate,
     cl2_order,
@@ -119,7 +125,8 @@ def test_cl2_order_matches_group_structure():
                 continue
             f = prime_disc_factorization(d)
             for wide, group in ((True, wide_class_group), (False, narrow_class_group)):
-                assert cl2_order(f, wide) == group(d).two_part_order, (d, wide)
+                parts = [e & -e for e in group(d).elementary_divisors]
+                assert cl2_order(f, wide) == math.prod(parts), (d, wide)
             differ += cl2_order(f, True) != cl2_order(f, False)
     assert differ > 0
 
@@ -162,7 +169,7 @@ def test_analyze_imaginary_triples_touch_no_table():
     # those are counted and walked on reduced forms: no class table is built
     # or looked up.
     k = QuadFieldSpec.from_disc_values([-3, -7, -11, -19, -23])
-    assert {kind for _, kind in _base_fields(k)} == {"triple"}
+    assert {kind for _, kind in _base_fields(_masks(k))} == {"triple"}
     before = _table.cache_info()
     report = analyze(k)
     after = _table.cache_info()
@@ -199,19 +206,35 @@ def _genus_oracle_fields():
                 yield f
 
 
+def _field_columns(f: QuadFieldSpec, rest):
+    """(_Masks columns, sign mask) over F's discs, at F's own primes and then
+    at the primes in rest, built entry by entry with _entry."""
+    values = f.values()
+
+    def column(q):
+        return sum([1 << i for i, v in enumerate(values) if _entry(v, q)])
+
+    # The diagonal is left out: d_j's own entry at p_j is 1.
+    cols = [column(d.prime) & ~(1 << j) for j, d in enumerate(f.discs)] + list(map(column, rest))
+    return cols, sum(1 << i for i, v in enumerate(values) if v < 0)
+
+
 def test_genus_path_matches_class_groups():
-    # Where F's Redei 4-rank is 0, genus theory gives c = 2^(wide 2-rank)
-    # and every witness: each must match the class number count and the
-    # prime classes (form powering for d < 0, the class table for d > 0),
+    # Where F's Redei 4-rank is 0, the genus rule on masks gives c = 2^(wide
+    # 2-rank) and every witness: each must match the class number count and
+    # the prime classes (form powering for d < 0, the class table for d > 0),
     # at every odd prime up to 500 prime to d_F and at 2 when it is
-    # unramified.
+    # unramified.  The columns at those primes are built with _entry.
     primes = primes_up_to(500)
     on_path = {"imaginary": 0, "real": 0, "real, a negative disc": 0}
     for f in _genus_oracle_fields():
         d = f.discriminant
-        rest = [q for q in primes if d % q]
-        genus = _genus_witnesses(f, rest)
-        if four_rank_narrow(f):
+        # Witness columns only where the rule reads them: 4-rank 0.
+        four_rank = four_rank_narrow(f)
+        rest = [] if four_rank else [q for q in primes if d % q]
+        cols, neg = _field_columns(f, rest)
+        genus = _genus_witnesses((1 << f.t) - 1, neg, cols, range(f.t, f.t + len(rest)))
+        if four_rank:
             assert genus is None, f
             continue
         c = cl2_order(f)
@@ -230,15 +253,68 @@ def test_genus_path_gives_real_f_with_a_negative_disc_its_wide_group():
     # 2-rank, 0, and matches the class table.
     f = QuadFieldSpec.from_disc_values([-3, -7])
     k = QuadFieldSpec.from_disc_values([-3, -7, 5, -11, 13])
+    g = _masks(k)
     assert four_rank_narrow(f) == 0
     assert (cl2_order(f, wide=False), cl2_order(f)) == (2, 1)
     infos = [_prime_info(21, q, kronecker(21, q)) for q in (5, 11, 13)]
-    assert _genus_witnesses(f, [5, 11, 13]) == (1, infos)
+    assert _genus_witnesses(0b11, g.neg, g.cols, [2, 3, 4]) == (1, infos)
     wit = [
         Witness(q, i.split_type, i.order_2part, _count_in_l(1, i))
         for q, i in zip((5, 11, 13), infos)
     ]
-    assert kl_rank_lower_bound(k, f) == _bound_check(f, 1, wit).lhs
+    assert kl_rank_lower_bound(k, f) == _bound_check(21, 1, wit).lhs
+
+
+def test_masks_match_field_oracles_on_every_subfield():
+    # Every F on 2 to t - 1 of K's discs, of every shape (also those no base
+    # kind tries yet): the 4-rank, 2 to the wide 2-rank and each (d_F/q)
+    # read off K's masks equal the ones computed from F itself.
+    shapes = set()
+    for k in _pinned_fields():
+        g = _masks(k)
+        for size in range(2, k.t):
+            for idx in itertools.combinations(range(k.t), size):
+                sub = sum(1 << i for i in idx)
+                f = k.reordered(idx)
+                d = f.discriminant
+                assert _four_rank_of(sub, g.cols) == four_rank_narrow(f), (k, f)
+                assert _genus_order(sub, g.neg) == 2 ** two_ranks(f)[1], (k, f)
+                for j in set(range(k.t)) - set(idx):
+                    assert _symbol(g.cols[j] & sub) == kronecker(d, g.primes[j]), (k, f, j)
+                shapes.add((size, sum(v > 0 for v in f.values())))
+    assert {(3, 3), (3, 1), (2, 0), (4, 2), (5, 4)} <= shapes, shapes
+
+
+def test_one_redei_matrix_per_call(monkeypatch):
+    # analyze reads every base field off K's Redei matrix: one redei_matrix
+    # call per K however many base fields it tries, and one per call of
+    # base_field_certificate, kl_rank_lower_bound and replay_certificate.
+    from twotower import redei, tower
+
+    calls = []
+
+    def counting(spec):
+        calls.append(spec)
+        return redei_matrix(spec)
+
+    five = [k for k in _pinned_fields() if k.t == 5]
+    for module in (redei, tower):
+        monkeypatch.setattr(module, "redei_matrix", counting)
+    replayed = 0
+    for k in [EX36, SCHMITHALS, GS_FIELD] + five:
+        calls.clear()
+        report = analyze(k)
+        assert calls == [k], k
+        if report.certificate is not None and report.certificate.criterion != "gs-two-rank":
+            calls.clear()
+            assert replay_certificate(report.certificate, k)
+            assert calls == [k], k
+            replayed += 1
+    assert replayed > 5, replayed
+    calls.clear()
+    assert base_field_certificate(EX36, F45) is None
+    assert kl_rank_lower_bound(EX36, F45) == 7
+    assert calls == [EX36, EX36]
 
 
 def test_kl_rank_lower_bound_example():
@@ -447,7 +523,8 @@ def test_one_evaluator_for_analyze_lemmas_and_kl_bound():
                 recorded[where] = d.achieved
                 if d.criterion.startswith("also-passes:"):
                     passes[where] = d.criterion.split(":", 1)[1]
-        tried = [f for f, _ in _base_fields(k)]
+        subs = [sub for sub, _ in _base_fields(_masks(k))]
+        tried = [k.reordered([i for i in range(k.t) if sub >> i & 1]) for sub in subs]
         assert len(recorded) == len(tried), k
         for f in tried:
             assert kl_rank_lower_bound(k, f) == recorded[f.values()], (k, f)
@@ -488,7 +565,9 @@ def test_analyze_output_pinned():
     genus_path = set()
     for k in _pinned_fields():
         h.update(analyze(k).to_json().encode())
-        genus_path |= {_genus_witnesses(f, []) is not None for f, _ in _base_fields(k)}
+        g = _masks(k)
+        for sub, _ in _base_fields(g):
+            genus_path.add(_genus_witnesses(sub, g.neg, g.cols, []) is not None)
     assert genus_path == {True, False}
     assert h.hexdigest() == ANALYZE_OUTPUT_SHA256
 
