@@ -107,15 +107,11 @@ def _check_bound(d: int) -> None:
         raise BoundExceeded(f"|{d}| exceeds the discriminant bound {limit}")
 
 
-def _check_fundamental(d: int) -> None:
-    if not is_fundamental(d):
-        raise NotFundamental(f"{d} is not a fundamental discriminant")
-
-
 def _check(d: int) -> None:
     """The public functions' input check: the bound, then fundamentality."""
     _check_bound(d)
-    _check_fundamental(d)
+    if not is_fundamental(d):
+        raise NotFundamental(f"{d} is not a fundamental discriminant")
 
 
 def principal_form(d: int) -> QuadForm:
@@ -749,21 +745,6 @@ def wide_class_group(d: int) -> AbelianGroupStructure:
     """Structure of the wide class group Cl(Q(sqrt(d)))."""
     _check(d)
     return _table(d).group(wide=True)
-
-
-def negative_pell_solvable(d: int) -> bool:
-    """Whether x^2 - d y^2 = -4 has an integer solution (d > 0 fundamental).
-
-    Solvable exactly when the principal class holds a form with leading
-    coefficient -1.  Its cycle holds some (1, b, c), so that is when the
-    cycle is its own negation: when the walk from a reduced principal form
-    f meets -f (_half_cycle).
-    """
-    if d <= 0:
-        raise ValueError("negative Pell detection needs d > 0")
-    _check_fundamental(d)
-    f = _reduce_indef(*principal_form(d), d)
-    return not _half_cycle(f, d, isqrt(d))[1]
 
 
 def _prime_form(d: int, p: int) -> QuadForm:

@@ -1,13 +1,19 @@
 """Redei matrices over F2, 2- and 4-rank formulas, and open-case classification.
 
-A Redei matrix is the tuple of its rows.  The classification catalog
-(catalog.txt) lists the open 5x5 matrix cases for imaginary quadratic
-fields with five ramified primes, in the numbering of Sueyoshi's and
-Benjamin's casework.  That casework reads only the sign codes of a field's
-discs, in order, and its Redei matrix, so classification is a cached
-function of (sign codes, matrix), keyed on the row tuple itself.  It
-backtracks over assignments of the discs to catalog slots, checking sign
-codes and fixed entries as each slot is filled, once per pair it meets.
+This module alone builds and reads Redei matrices, in one form: the tuple
+of column bitmasks cols with no diagonal, bit i of cols[j] the entry
+_entry(d_i, p_j) for i != j (_redei_columns).  The field on the discs in a
+bitmask sub of them has the columns cols[j] & sub for j in sub, and each
+diagonal entry is its column's parity, so _four_rank reads the 4-rank of
+any such subfield off one field's columns.  redei_matrix alone turns the
+columns into rows.  The classification catalog (catalog.txt) lists the
+open 5x5 matrix cases for imaginary quadratic fields with five ramified
+primes, in the numbering of Sueyoshi's and Benjamin's casework.  That
+casework reads only the sign codes of a field's discs, in order, and its
+Redei matrix, so classification is a cached function of (sign codes,
+columns), keyed on the column tuple itself.  It backtracks over
+assignments of the discs to catalog slots, checking sign codes and fixed
+entries as each slot is filled, once per pair it meets.
 """
 
 from __future__ import annotations
@@ -33,30 +39,30 @@ def _entry(value: int, prime: int) -> int:
     return 0 if kronecker(value, prime) == 1 else 1
 
 
+def _redei_columns(spec: QuadFieldSpec) -> tuple[int, ...]:
+    """The field's Redei matrix as column bitmasks, in the spec's disc order:
+    bit i of cols[j] is _entry(d_i, p_j) for i != j, and bit j is 0."""
+    discs = spec.discs
+    return tuple(
+        sum(_entry(di.value, dj.prime) << i for i, di in enumerate(discs) if i != j)
+        for j, dj in enumerate(discs)
+    )
+
+
 def redei_matrix(spec: QuadFieldSpec) -> tuple[tuple[int, ...], ...]:
     """Additive Redei matrix of the field as a tuple of rows over F2, rows
     and columns in the spec's disc order.
 
     (-1)^a_ij = (p_i*/p_j) off the diagonal; the diagonal a_jj encodes the
     cofactor symbol ((Delta/p_j*)/p_j), which by multiplicativity equals
-    the sum of column j's off-diagonal entries, so it is read off that sum
-    and every column sums to zero.
+    the sum of column j's off-diagonal entries, so it is that column's
+    parity and every column sums to zero.
     """
-    discs = spec.discs
-    return _with_diagonal(
-        [
-            [0 if i == j else _entry(di.value, dj.prime) for j, dj in enumerate(discs)]
-            for i, di in enumerate(discs)
-        ]
+    cols = _redei_columns(spec)
+    return tuple(
+        tuple(col.bit_count() & 1 if i == j else col >> i & 1 for j, col in enumerate(cols))
+        for i in range(len(cols))
     )
-
-
-def _with_diagonal(rows: list[list[int]]) -> tuple[tuple[int, ...], ...]:
-    """The Redei matrix whose off-diagonal entries are rows', given with a
-    zero diagonal: each a_jj is set to column j's sum mod 2."""
-    for j, total in enumerate([sum(col) for col in zip(*rows)]):
-        rows[j][j] = total % 2
-    return tuple(map(tuple, rows))
 
 
 def f2_rank(entries: tuple[tuple[int, ...], ...]) -> int:
@@ -75,20 +81,32 @@ def _mask_rank(vectors) -> int:
     return len(basis)
 
 
-def _four_rank(entries: tuple[tuple[int, ...], ...]) -> int:
-    return len(entries) - 1 - f2_rank(entries)
+def _four_rank(cols: tuple[int, ...], sub: int | None = None) -> int:
+    """Narrow Redei 4-rank |sub| - 1 - rank(R_F) of the field F on the discs
+    in sub (default: every disc) from columns as _redei_columns gives them:
+    R_F's column j is cols[j] & sub, its diagonal bit set to the parity."""
+    if sub is None:
+        sub = (1 << len(cols)) - 1
+    on = [j for j in range(sub.bit_length()) if sub >> j & 1]
+    vecs = [(a := cols[j] & sub) | (a.bit_count() & 1) << j for j in on]
+    return len(on) - 1 - _mask_rank(vecs)
 
 
 def four_rank_narrow(spec: QuadFieldSpec) -> int:
     """d4 of the narrow class group, via the Redei-Reichardt rank formula."""
-    return _four_rank(redei_matrix(spec))
+    return _four_rank(_redei_columns(spec))
+
+
+def _wide_two_rank(t: int, negatives: int) -> int:
+    """The wide 2-rank, by genus theory, of a field with t prime discs of
+    which `negatives` are negative: t - 1, less one when the field is real
+    (an even count of negatives) and has a negative disc."""
+    return t - 1 - (negatives > 0 and negatives % 2 == 0)
 
 
 def two_ranks(spec: QuadFieldSpec) -> tuple[int, int]:
     """(narrow, wide) 2-ranks from genus theory."""
-    narrow = spec.t - 1
-    drop = 1 if spec.discriminant > 0 and any(d.value < 0 for d in spec.discs) else 0
-    return narrow, narrow - drop
+    return spec.t - 1, _wide_two_rank(spec.t, sum(d.value < 0 for d in spec.discs))
 
 
 @dataclass(frozen=True)
@@ -184,19 +202,19 @@ def _code(d: PrimeDiscriminant) -> str:
     return "4" if d.value == -4 else "-" if d.value < 0 else "+"
 
 
-def _agrees(fixed, a, perm: list[int], k: int) -> bool:
+def _agrees(fixed, cols, perm: list[int], k: int) -> bool:
     """Whether the disc in slot k fits the fixed entries against slots 0..k."""
     i = perm[k]
     for j in range(k + 1):
         want, back = fixed[k][j], fixed[j][k]
-        if want is not None and a[i][perm[j]] != want:
+        if want is not None and cols[perm[j]] >> i & 1 != want:
             return False
-        if back is not None and a[perm[j]][i] != back:
+        if back is not None and cols[i] >> perm[j] & 1 != back:
             return False
     return True
 
 
-def _fill(fixed, slots, a, perm: list[int]) -> bool:
+def _fill(fixed, slots, cols, perm: list[int]) -> bool:
     """Extend perm slot by slot to a full fit, trying indices ascending."""
     k = len(perm)
     if k == len(slots):
@@ -205,13 +223,13 @@ def _fill(fixed, slots, a, perm: list[int]) -> bool:
         if i in perm:
             continue
         perm.append(i)
-        if _agrees(fixed, a, perm, k) and _fill(fixed, slots, a, perm):
+        if _agrees(fixed, cols, perm, k) and _fill(fixed, slots, cols, perm):
             return True
         perm.pop()
     return False
 
 
-def _match(case: CatalogCase, by_code: dict[str, list[int]], a) -> tuple[int, ...] | None:
+def _match(case: CatalogCase, by_code: dict[str, list[int]], cols) -> tuple[int, ...] | None:
     """Least permutation (lexicographically) that fits the case, or None.
 
     by_code maps each sign code to the ascending indices of the discs that
@@ -231,30 +249,30 @@ def _match(case: CatalogCase, by_code: dict[str, list[int]], a) -> tuple[int, ..
         return None
     slots = [by_code[code] for code in case.signs]
     perm: list[int] = []
-    return tuple(perm) if _fill(case.fixed, slots, a, perm) else None
+    return tuple(perm) if _fill(case.fixed, slots, cols, perm) else None
 
 
 @lru_cache(maxsize=_CASE_CACHE_SIZE)
-def _case_of(codes: tuple[str, ...], a: tuple[tuple[int, ...], ...]) -> CaseId:
-    """The verdict for discs with these sign codes, in order, and Redei entries."""
+def _case_of(codes: tuple[str, ...], cols: tuple[int, ...]) -> CaseId:
+    """The verdict for discs with these sign codes, in order, and Redei columns."""
     by_code = {code: [i for i, c in enumerate(codes) if c == code] for code in "4-+"}
     for case in catalog_cases():
-        perm = _match(case, by_code, a)
+        perm = _match(case, by_code, cols)
         if perm is None:
             continue
         if case.status == "resolved":
             return CaseId("NotOpen", perm, f"resolved elsewhere: {case.tag} ({case.note})")
         return CaseId(case.tag, perm)
-    if _four_rank(a) >= 3:
+    if _four_rank(cols) >= 3:
         reason = "4-rank >= 3: infinite 2-tower already known (Hajir), not an open case"
     else:
         reason = "no open-case match: settled in the literature or outside the catalog"
     return CaseId("NotOpen", (), reason)
 
 
-def _classify(spec: QuadFieldSpec, a: tuple[tuple[int, ...], ...]) -> CaseId:
-    """classify_open_case on a field whose Redei matrix a is already built."""
-    return _case_of(tuple(map(_code, spec.discs)), a)
+def _classify(spec: QuadFieldSpec, cols: tuple[int, ...]) -> CaseId:
+    """classify_open_case on a field whose Redei columns are already built."""
+    return _case_of(tuple(map(_code, spec.discs)), cols)
 
 
 def classify_open_case(spec: QuadFieldSpec) -> CaseId:
@@ -267,4 +285,4 @@ def classify_open_case(spec: QuadFieldSpec) -> CaseId:
     """
     if spec.t != 5 or spec.discriminant > 0:
         raise ValueError("classification is defined for imaginary fields with t = 5")
-    return _classify(spec, redei_matrix(spec))
+    return _classify(spec, _redei_columns(spec))

@@ -9,11 +9,12 @@ columns: per known disc, hole sign code and bound, two bitmasks over the
 code's candidate pool, one bit per candidate, so a hole's filter is a few
 ANDs of whole columns and its candidate count a popcount.  It walks the
 hole fillings in ascending |D| and stops at the `count`-th field that
-classifies as the case.  Each field it meets is classified once, on a
-Redei matrix put together from blocks made once per call (known against
-known, each candidate against the known discs, read off the same bits) and
-the filling's own hole-against-hole entries, so results are verified,
-never assumed.
+classifies as the case.  Each field it meets is classified once, on its
+Redei columns in redei's form (bit i of column j is the entry of slot i's
+disc at slot j's prime): the OR of bits made once per call (known against
+known, and each candidate's against the known discs, read off the same
+pool bitmasks) and the filling's own hole-against-hole entries, so results
+are verified, never assumed.
 """
 
 from __future__ import annotations
@@ -32,17 +33,7 @@ from .arith import (
     prime_disc_factorization,
 )
 from .errors import Exhausted, NotFundamental, TemplateMismatch
-from .redei import (
-    CatalogCase,
-    _case_of,
-    _code,
-    _entry,
-    _with_diagonal,
-    catalog_cases,
-    f2_rank,
-    four_rank_narrow,
-    redei_matrix,
-)
+from .redei import CatalogCase, _case_of, _code, _entry, catalog_cases, four_rank_narrow
 from .tower import cl2_order
 
 
@@ -94,11 +85,12 @@ def _case_by_tag(tag) -> CatalogCase:
 
 def _candidates(
     cat: CatalogCase, known: dict[int, PrimeDiscriminant], holes: list[int], bound: int
-) -> list[list[tuple[int, int, list[tuple[int, int]]]]]:
-    """Per hole, ascending by |v|: (v, its prime, the (row, column) positions
-    where its Redei entries against the known discs are 1), for the v that
-    pass complete_tuple's filter.  ValueError when they give more than
-    _MAX_FILLS fillings, counted before any list is built."""
+) -> list[list[tuple[int, int, tuple[int, ...]]]]:
+    """Per hole, ascending by |v|: (v, its prime, its Redei entries against
+    the known discs as five column bitmasks in slot order, as in
+    redei._redei_columns), for the v that pass complete_tuple's filter.
+    ValueError when they give more than _MAX_FILLS fillings, counted before
+    any list is built."""
     known_primes = {d.prime for d in known.values()}
     # Per hole, the bits of its pool it keeps and (i, row mask, column mask)
     # for each known disc i; -4 takes no entry filter.
@@ -125,9 +117,12 @@ def _candidates(
         while keep:
             n = (keep & -keep).bit_length() - 1
             keep &= keep - 1
-            ones = [(j, i) for i, row, _ in cols if row >> n & 1]
-            ones += [(i, j) for i, _, col in cols if col >> n & 1]
-            candidates[-1].append(pool[n] + (ones,))
+            # v's entry against d_i is bit j of column i, d_i's against q bit i of column j.
+            bits = [0] * 5
+            for i, row, col in cols:
+                bits[i] |= (row >> n & 1) << j
+                bits[j] |= (col >> n & 1) << i
+            candidates[-1].append(pool[n] + (tuple(bits),))
     return candidates
 
 
@@ -176,14 +171,15 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
     known_primes = {d.prime for d in known.values()}
     if len(known_primes) != len(known):
         raise TemplateMismatch("known discs share an underlying prime")
-    # Redei entries in slot order, zero on the diagonal: known against known
-    # here, where they must already match the case, each candidate's against
-    # the known discs from the cached columns, hole against hole per filling.
-    base = [[0] * 5 for _ in range(5)]
+    # Redei columns in slot order: known against known here, where they must
+    # already match the case, each candidate's against the known discs from
+    # _candidates, hole against hole per filling.
+    base = [0] * 5
     for i, j in itertools.permutations(known, 2):
-        base[i][j] = _entry(known[i].value, known[j].prime)
-        if cat.fixed[i][j] not in (None, base[i][j]):
+        a = _entry(known[i].value, known[j].prime)
+        if cat.fixed[i][j] not in (None, a):
             raise Exhausted(f"known discs violate fixed entry ({i},{j}); no completion exists")
+        base[j] |= a << i
     candidates = _candidates(cat, known, holes, bound)
     n = len(holes)
     hole_pairs = [(holes[x], holes[y], x, y) for x, y in itertools.permutations(range(n), 2)]
@@ -215,13 +211,12 @@ def complete_tuple(case, partial, bound: int, count: int = 5) -> list[QuadFieldS
         if absd == prev or len({v for v, _, _ in fill}) != n:
             continue
         prev = absd
-        rows = [row[:] for row in base]
-        for _, _, ones in fill:
-            for i, j in ones:
-                rows[i][j] = 1
+        cols = base
+        for _, _, bits in fill:
+            cols = [a | b for a, b in zip(cols, bits)]
         for i, j, x, y in hole_pairs:
-            rows[i][j] = _entry(fill[x][0], fill[y][1])
-        if _case_of(cat.signs, _with_diagonal(rows)).tag == cat.tag:
+            cols[j] |= _entry(fill[x][0], fill[y][1]) << i
+        if _case_of(cat.signs, tuple(cols)).tag == cat.tag:
             values = list(slots)
             for j, (v, _, _) in zip(holes, fill):
                 values[j] = v
@@ -257,7 +252,7 @@ def find_base_fields(
             continue
         if spec.t != t or not fits(spec.values()):
             continue
-        if f2_rank(redei_matrix(spec)) > redei_rank_max:
+        if spec.t - 1 - four_rank_narrow(spec) > redei_rank_max:
             continue
         if cl2_order(spec) < min_cl2:
             continue

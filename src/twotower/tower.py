@@ -14,11 +14,12 @@ does replay_certificate: it recomputes a certificate and compares.
 gs_required states the Golod-Shafarevich threshold once.
 
 A base field F is a subset sub of K's discs, so every Redei entry F needs
-is one of K's: each call reads K's Redei matrix once into _Masks, a column
-bitmask per disc and K's sign mask.  _checked_base turns a given F into
-sub, _base_fields yields analyze's, and _kind counts signs.  _evaluate is
-the one route from sub to |Cl_2(F)|, its Witness records and the bound
-(only checked: d_F is fundamental by construction).  An F of narrow Redei
+is one of K's: each call takes K's Redei columns from redei once into
+_Masks, with K's sign mask, and K's 4-rank, case and every F's 4-rank are
+read off those columns by redei.  _checked_base turns a given F into sub,
+_base_fields yields analyze's, and _kind counts signs.  _evaluate is the
+one route from sub to |Cl_2(F)|, its Witness records and the bound (only
+checked: d_F is fundamental by construction).  An F of narrow Redei
 4-rank 0 takes the genus rule on the masks (_genus_witnesses).  Else h is
 counted, on reduced forms for an imaginary F (each witness's order 2-part
 from powering its prime form) and off the class table for a real F.
@@ -42,7 +43,7 @@ from .quadforms import (
     max_disc_bound,
     prime_class_info,
 )
-from .redei import CaseId, _classify, _four_rank, _mask_rank, redei_matrix, two_ranks
+from .redei import CaseId, _classify, _four_rank, _redei_columns, _wide_two_rank, two_ranks
 
 
 def gs_infinite(d2: int, unit_2rank: int) -> bool:
@@ -257,10 +258,11 @@ def _kind(sub: int, neg: int) -> str | None:
 
 @dataclass(frozen=True)
 class _Masks:
-    """K's Redei matrix as bitmasks: bit i of cols[j] is _entry(d_i, p_j) for
-    i != j, and bit i of neg is set when d_i < 0.  For the F on the discs
-    in sub, cols[j] & sub is F's Redei column j (off the diagonal) for j in
-    sub, and the genus characters of the witness p_j for j outside it."""
+    """K's Redei columns (redei._redei_columns: bit i of cols[j] is
+    _entry(d_i, p_j) for i != j), and bit i of neg is set when d_i < 0.  For
+    the F on the discs in sub, cols[j] & sub is F's Redei column j (off the
+    diagonal) for j in sub, and the genus characters of the witness p_j for
+    j outside it."""
 
     values: tuple[int, ...]
     primes: tuple[int, ...]
@@ -271,12 +273,10 @@ class _Masks:
         return tuple(v for i, v in enumerate(self.values) if sub >> i & 1)
 
 
-def _masks(k: QuadFieldSpec, m=None) -> _Masks:
-    """K's _Masks, read off its Redei matrix m (built here when not given)."""
-    m, t = m or redei_matrix(k), k.t
-    cols = tuple(sum(m[i][j] << i for i in range(t) if i != j) for j in range(t))
+def _masks(k: QuadFieldSpec) -> _Masks:
+    """K's _Masks, on K's Redei columns."""
     neg = sum(1 << i for i, d in enumerate(k.discs) if d.value < 0)
-    return _Masks(k.values(), tuple(d.prime for d in k.discs), cols, neg)
+    return _Masks(k.values(), tuple(d.prime for d in k.discs), _redei_columns(k), neg)
 
 
 def _checked_base(k: QuadFieldSpec, f: QuadFieldSpec) -> tuple[_Masks, int, str | None]:
@@ -292,21 +292,6 @@ def _checked_base(k: QuadFieldSpec, f: QuadFieldSpec) -> tuple[_Masks, int, str 
         raise DivisibilityViolation("at least one prime of K must be unramified in F")
     g = _masks(k)
     return g, sub, _kind(sub, g.neg)
-
-
-def _four_rank_of(sub: int, cols) -> int:
-    """Narrow Redei 4-rank |sub| - 1 - rank(R_F) of the F on the discs in sub;
-    R_F's column j is cols[j] & sub, its diagonal bit set to the parity."""
-    on = [j for j in range(sub.bit_length()) if sub >> j & 1]
-    vecs = [(a := cols[j] & sub) | (a.bit_count() & 1) << j for j in on]
-    return len(on) - 1 - _mask_rank(vecs)
-
-
-def _genus_order(sub: int, neg: int) -> int:
-    """2 to the wide 2-rank of the F on the discs in sub, as two_ranks: 2^(|sub| - 1),
-    halved for a real F with a negative disc."""
-    s = (sub & neg).bit_count()
-    return 1 << (sub.bit_count() - 1 - (s > 0 and s % 2 == 0))
 
 
 def _symbol(a: int) -> int:
@@ -325,14 +310,14 @@ def _genus_witnesses(sub: int, neg: int, cols, rest) -> tuple[int, list[PrimeCla
     prime to d_F.  With t = |sub|, d_1..d_t F's discs and s = neg & sub:
 
     - Elementary narrow Cl_2.  Genus theory gives the narrow 2-rank t - 1,
-      and Redei-Reichardt the narrow 4-rank (_four_rank_of), here 0.  So
+      and Redei-Reichardt the narrow 4-rank (_four_rank), here 0.  So
       the narrow Cl_2 is elementary abelian of order 2^(t-1).
     - c from the wide 2-rank.  Cl^+ -> Cl is onto, and its kernel is
       generated by the narrow class k of a principal ideal whose generator
       has negative norm.  So the wide Cl_2 is the narrow one modulo a
       subgroup of order 1 or 2, itself elementary, and c is 2 to its wide
-      2-rank (_genus_order): t - 1 for F imaginary (k trivial) and for F
-      real with every d_i > 0 (d_F a sum of two squares, k trivial), and
+      2-rank (_wide_two_rank): t - 1 for F imaginary (k trivial) and for
+      F real with every d_i > 0 (d_F a sum of two squares, k trivial), and
       t - 2 for F real with a negative disc (no sum of two squares).
     - Genus characters as Kronecker symbols.  At a prime q not dividing
       d_F the genus characters of a prime of F above q are the symbols
@@ -349,14 +334,14 @@ def _genus_witnesses(sub: int, neg: int, cols, rest) -> tuple[int, list[PrimeCla
       imaginary s has an odd number of bits, so a = s is inert and never
       reaches the test; for F real with every d_i > 0, s is 0.
     """
-    if _four_rank_of(sub, cols):
+    if _four_rank(cols, sub):
         return None
     s = neg & sub
     infos = []
     for j in rest:
         a = cols[j] & sub
         infos.append(_INERT if a.bit_count() & 1 else _GENUS_SPLIT[a != 0 and a != s])
-    return _genus_order(sub, neg), infos
+    return 1 << _wide_two_rank(sub.bit_count(), s.bit_count()), infos
 
 
 def _evaluate(g: _Masks, sub: int):
@@ -473,10 +458,10 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
     """
     _require(k.is_imaginary, "K must be imaginary")
     d2, _ = two_ranks(k)
-    m = redei_matrix(k)
-    d4 = _four_rank(m)
+    g = _masks(k)
+    d4 = _four_rank(g.cols)
     if k.t == 5:
-        case = _classify(k, m)
+        case = _classify(k, g.cols)
     else:
         case = CaseId("NotOpen", (), "open-case catalog covers t = 5 only")
     diagnostics: list[Diagnostic] = []
@@ -485,7 +470,6 @@ def analyze(k: QuadFieldSpec) -> TowerReport:
         diagnostics.append(
             Diagnostic("gs-two-rank", d2, gs_required(1), "direct Golod-Shafarevich on K")
         )
-        g = _masks(k, m)
         for sub, kind in _base_fields(g):
             try:
                 cert, diags = _attempt(g, sub, kind)

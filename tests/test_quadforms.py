@@ -39,7 +39,6 @@ from twotower.quadforms import (
     compose,
     inverse,
     narrow_class_group,
-    negative_pell_solvable,
     prime_class_info,
     prime_form,
     principal_form,
@@ -656,32 +655,6 @@ def test_indefinite_enumeration_against_brute_force():
         assert sorted(_table(d).index) == brute(d), d
 
 
-def test_negative_pell():
-    # Fundamental solutions can be astronomically large (d = 193), so the
-    # brute force is one-sided; two classical facts pin the rest: primes
-    # 1 mod 4 are always solvable, a 3 mod 4 prime divisor never is.
-    def brute(d):
-        for y in range(1, 3000):
-            x2 = d * y * y - 4
-            if x2 >= 0 and isqrt(x2) ** 2 == x2:
-                return True
-        return False
-
-    for d in range(5, 500):
-        if not is_fundamental(d):
-            continue
-        got = negative_pell_solvable(d)
-        if brute(d):
-            assert got, d
-        spec = prime_disc_factorization(d)
-        if any(v < 0 and v != -4 for v in spec.values()):
-            assert not got, d
-        if spec.t == 1 and d % 4 == 1:
-            assert got, d
-        # wide equals narrow exactly when solvable
-        assert got == (wide_class_group(d).order == narrow_class_group(d).order), d
-
-
 def test_prime_form_and_class_info():
     info = prime_class_info(145, 7)
     assert (info.split_type, info.order_2part) == ("inert", 1)
@@ -889,7 +862,6 @@ def test_real_class_numbers_against_the_analytic_formula():
         assert abs(h + s / log_eps) < 1e-6, d
         assert class_number(d) == h, d
         assert class_number(d, wide=False) == (h if minus else 2 * h), d
-        assert negative_pell_solvable(d) == bool(minus), d
         count += 1
     assert count == 909
 

@@ -107,7 +107,7 @@ def test_diagonal_is_cofactor_symbol():
             assert m[i][i] == want
 
 
-def test_with_diagonal_reproduces_redei_matrix():
+def test_redei_matrix_matches_kronecker_symbols():
     # Off-diagonal symbols and the cofactor-symbol diagonal, both straight
     # from kronecker, on seeded fields of 3 to 6 discs.
     rng = random.Random(23)
@@ -118,15 +118,14 @@ def test_with_diagonal_reproduces_redei_matrix():
             continue
         sizes.append(spec.t)
         discs, delta = spec.discs, spec.discriminant
-        rows = [
-            [0 if i == j else int(kronecker(di.value, dj.prime) != 1) for j, dj in enumerate(discs)]
-            for i, di in enumerate(discs)
-        ]
         want = tuple(
-            tuple(int(kronecker(delta // di.value, di.prime) != 1) if i == j else a for j, a in enumerate(row))
-            for i, (di, row) in enumerate(zip(discs, rows))
+            tuple(
+                int(kronecker(delta // di.value if i == j else di.value, dj.prime) != 1)
+                for j, dj in enumerate(discs)
+            )
+            for i, di in enumerate(discs)
         )
-        assert redei._with_diagonal(rows) == want == redei_matrix(spec), spec
+        assert redei_matrix(spec) == want, spec
     assert set(sizes) == {3, 4, 5, 6}
 
 
@@ -272,11 +271,18 @@ def test_memo_keys_on_sign_codes_and_stays_bounded():
     assert _entry.cache_info().maxsize == redei._ENTRY_CACHE_SIZE
     # The same entries under other sign codes are another key: M49 needs
     # the codes - - - + +, so with a 4 in place of a - it cannot match.
-    a = redei_matrix(spec_of(*CATALOG_MEMBERS["M49"]))
-    assert _case_of(("-", "-", "-", "+", "+"), a).tag == "M49"
-    assert _case_of(("4", "-", "-", "+", "+"), a).tag == "NotOpen"
+    cols = redei._redei_columns(spec_of(*CATALOG_MEMBERS["M49"]))
+    assert _case_of(("-", "-", "-", "+", "+"), cols).tag == "M49"
+    assert _case_of(("4", "-", "-", "+", "+"), cols).tag == "NotOpen"
+    # Distinct column tuples, zero on the diagonal, one bit of n per entry.
+    entries = [(i, j) for j in range(5) for i in range(5) if i != j]
+    _case_of.cache_clear()
     for n in range(redei._CASE_CACHE_SIZE + 10):
-        _case_of(("-",) * 5, tuple(tuple(n >> 5 * i + j & 1 for j in range(5)) for i in range(5)))
+        cols = [0] * 5
+        for k, (i, j) in enumerate(entries):
+            cols[j] |= (n >> k & 1) << i
+        _case_of(("-",) * 5, tuple(cols))
+    assert _case_of.cache_info().misses == redei._CASE_CACHE_SIZE + 10
     for v in range(redei._ENTRY_CACHE_SIZE + 10):
         _entry(v, 7)
     assert _case_of.cache_info().currsize <= redei._CASE_CACHE_SIZE

@@ -16,7 +16,14 @@ from twotower.arith import (
 )
 from twotower.errors import Exhausted, TemplateMismatch
 from twotower.quadforms import wide_class_group
-from twotower.redei import _entry, catalog_cases, classify_open_case, f2_rank, redei_matrix
+from twotower.redei import (
+    _entry,
+    _redei_columns,
+    catalog_cases,
+    classify_open_case,
+    f2_rank,
+    redei_matrix,
+)
 from twotower import search
 from twotower.search import complete_tuple, dmw_family, find_base_fields, lopez_family
 
@@ -220,6 +227,36 @@ def test_complete_refuses_too_many_fillings(within):
         complete_tuple("A", [None] * 5, 1000)
 
 
+def columns_of(ones):
+    """Five column bitmasks with bit i of column j set at each (i, j) in ones."""
+    cols = [0] * 5
+    for i, j in ones:
+        cols[j] |= 1 << i
+    return tuple(cols)
+
+
+def test_complete_classifies_each_result_on_its_redei_columns(monkeypatch):
+    # Every field complete_tuple returns was classified on its own Redei
+    # columns as redei builds them, in slot order: the columns search
+    # assembles from its bitmasks and hole-against-hole entries have the
+    # same orientation (bit i of column j is slot i's entry at slot j).
+    seen = set()
+    real = search._case_of
+
+    def recorded(codes, cols):
+        seen.add(cols)
+        return real(codes, cols)
+
+    monkeypatch.setattr(search, "_case_of", recorded)
+    returned = 0
+    for tag, partial in member_hole_pairs():
+        seen.clear()
+        for spec in complete_or_empty(tag, partial, 10):
+            assert _redei_columns(spec) in seen, (tag, partial, spec)
+            returned += 1
+    assert returned > 1000
+
+
 def reference_candidates(cat, known, holes, bound):
     """complete_tuple's hole filter as it was before the cached columns: per
     hole, each candidate's entries against the known discs looked up one by
@@ -254,7 +291,7 @@ def test_hole_candidates_match_per_candidate_filter():
     # Every hole, pair and triple of one member of each open case, and of
     # members with a known 8 or -8, at three bounds: the bitmask filter
     # keeps the candidates, in order, with the entries, that the one-by-one
-    # filter kept.
+    # filter kept.  An entry at (row i, column j) is bit i of column j.
     cases = {c.tag: c for c in catalog_cases() if c.status == "open"}
     members = [(tag, CATALOG_MEMBERS[tag]) for tag in cases] + [
         ("M28", (-7, -3, -47, 8, 5)),
@@ -275,8 +312,11 @@ def test_hole_candidates_match_per_candidate_filter():
                 }
                 for bound in (150, 300, 1000):
                     got = search._candidates(cat, known, holes, bound)
-                    want = reference_candidates(cat, known, holes, bound)
-                    assert [[(v, q, sorted(ones)) for v, q, ones in c] for c in got] == want, (
+                    want = [
+                        [(v, q, columns_of(ones)) for v, q, ones in c]
+                        for c in reference_candidates(cat, known, holes, bound)
+                    ]
+                    assert got == want, (
                         tag,
                         member,
                         holes,

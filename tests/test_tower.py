@@ -22,7 +22,7 @@ from twotower.quadforms import (
     narrow_class_group,
     wide_class_group,
 )
-from twotower.redei import _entry, four_rank_narrow, redei_matrix, two_ranks
+from twotower.redei import _entry, _four_rank, _wide_two_rank, four_rank_narrow, two_ranks
 from twotower.search import complete_tuple, dmw_family
 from twotower.tower import (
     CRITERIA,
@@ -32,8 +32,6 @@ from twotower.tower import (
     _base_fields,
     _bound_check,
     _count_in_l,
-    _four_rank_of,
-    _genus_order,
     _genus_witnesses,
     _masks,
     _symbol,
@@ -277,8 +275,9 @@ def test_masks_match_field_oracles_on_every_subfield():
                 sub = sum(1 << i for i in idx)
                 f = k.reordered(idx)
                 d = f.discriminant
-                assert _four_rank_of(sub, g.cols) == four_rank_narrow(f), (k, f)
-                assert _genus_order(sub, g.neg) == 2 ** two_ranks(f)[1], (k, f)
+                assert _four_rank(g.cols, sub) == four_rank_narrow(f), (k, f)
+                wide = _wide_two_rank(size, (sub & g.neg).bit_count())
+                assert wide == two_ranks(f)[1], (k, f)
                 for j in set(range(k.t)) - set(idx):
                     assert _symbol(g.cols[j] & sub) == kronecker(d, g.primes[j]), (k, f, j)
                 shapes.add((size, sum(v > 0 for v in f.values())))
@@ -286,20 +285,22 @@ def test_masks_match_field_oracles_on_every_subfield():
 
 
 def test_one_redei_matrix_per_call(monkeypatch):
-    # analyze reads every base field off K's Redei matrix: one redei_matrix
-    # call per K however many base fields it tries, and one per call of
+    # analyze reads every base field off K's Redei columns: one read per K
+    # however many base fields it tries, and one per call of
     # base_field_certificate, kl_rank_lower_bound and replay_certificate.
+    # complete_tuple assembles its columns itself and reads none.
     from twotower import redei, tower
 
     calls = []
+    real = redei._redei_columns
 
     def counting(spec):
         calls.append(spec)
-        return redei_matrix(spec)
+        return real(spec)
 
     five = [k for k in _pinned_fields() if k.t == 5]
     for module in (redei, tower):
-        monkeypatch.setattr(module, "redei_matrix", counting)
+        monkeypatch.setattr(module, "_redei_columns", counting)
     replayed = 0
     for k in [EX36, SCHMITHALS, GS_FIELD] + five:
         calls.clear()
@@ -315,6 +316,9 @@ def test_one_redei_matrix_per_call(monkeypatch):
     assert base_field_certificate(EX36, F45) is None
     assert kl_rank_lower_bound(EX36, F45) == 7
     assert calls == [EX36, EX36]
+    calls.clear()
+    assert complete_tuple("M49", [None, -11, -7, 13, None], 300, count=3)
+    assert calls == []
 
 
 def test_kl_rank_lower_bound_example():
