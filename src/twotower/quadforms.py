@@ -44,16 +44,16 @@ without listing them (_class_number_neg, an LRU cache of ints): while
 add the root count rho, and only the band 4a^2 >= |D|, about 13% of the
 a, goes through the lister and is checked form by form.
 A reduced form labels its class, so an imaginary field needs no table
-for h or for prime classes: _prime_info powers prime forms
-(_order_2part_neg).  For D > 0 both read the class table.  Tables sit in
-one LRU cache of _TABLE_CACHE_SIZE entries.  Each table computes its
-narrow and wide structures on first request and keeps them, and
+for h or for prime classes: _prime_info walks reduced prime forms.  For
+D > 0 both read the class table.  Tables sit in one LRU cache of
+_TABLE_CACHE_SIZE entries.  Each table computes its narrow and wide
+structures on first request and keeps them, and
 _ClassTable.prime_info memoizes the PrimeClassInfo object itself, keyed
 by class, narrow or wide, and split or ramified: one shared object per
 key, so a sweep builds no object per prime, and at most 2h split entries
 plus two per ramified prime per table.  The order 2-part behind each
 entry is walked on class indices, whose memoized products repeat across
-the classes of a sweep.
+the classes of a sweep.  Both walks are _order_2part, given the product.
 """
 
 from __future__ import annotations
@@ -114,7 +114,14 @@ def _check(d: int) -> None:
         raise NotFundamental(f"{d} is not a fundamental discriminant")
 
 
+def _require_discriminant(d: int) -> None:
+    if d % 4 > 1:
+        raise ValueError(f"{d} is not a discriminant: it is {d % 4} mod 4")
+
+
 def principal_form(d: int) -> QuadForm:
+    """The form (1, d mod 2, c) of discriminant d; ValueError unless d = 0, 1 mod 4."""
+    _require_discriminant(d)
     b = d & 1
     return QuadForm(1, b, (b * b - d) // 4)
 
@@ -466,6 +473,30 @@ def _real_cycles(d: int) -> tuple[dict[tuple[int, int, int], int], list[tuple[in
     return index, [rep for _, rep, _ in classes]
 
 
+def _power(mul, x, n: int, one):
+    """x^n by binary powering in the group with product mul and identity one."""
+    r = one
+    while n:
+        if n & 1:
+            r = mul(r, x)
+        n >>= 1
+        if n:
+            x = mul(x, x)
+    return r
+
+
+def _order_2part(mul, x, one, h: int, kernel) -> int:
+    """Largest 2-power dividing the order of x modulo the subgroup kernel,
+    for h a multiple of that order: x^m, m the odd part of h, is squared
+    until it lands in kernel."""
+    y = _power(mul, x, h // (h & -h), one)
+    part = 1
+    while y not in kernel:
+        y = mul(y, y)
+        part *= 2
+    return part
+
+
 class _ClassTable:
     """Per-discriminant registry of form classes and the group law on them."""
 
@@ -506,14 +537,7 @@ class _ClassTable:
         return k
 
     def pow(self, i: int, n: int) -> int:
-        r = self.principal
-        while n:
-            if n & 1:
-                r = self.mul(r, i)
-            n >>= 1
-            if n:
-                i = self.mul(i, i)
-        return r
+        return _power(self.mul, i, n, self.principal)
 
     def inv(self, i: int) -> int:
         a, b, c = self.reps[i]
@@ -521,17 +545,8 @@ class _ClassTable:
 
     def order_2part_mod(self, i: int, wide: bool) -> int:
         """Largest 2-power dividing the class order, narrow or wide."""
-        h = self.h_wide if wide else self.h_plus
-        m = h
-        while m % 2 == 0:
-            m //= 2
-        y = self.pow(i, m)
-        kernel = self.wide_kernel if wide else frozenset({self.principal})
-        part = 1
-        while y not in kernel:
-            y = self.mul(y, y)
-            part *= 2
-        return part
+        h, kernel = (self.h_wide, self.wide_kernel) if wide else (self.h_plus, (self.principal,))
+        return _order_2part(self.mul, i, self.principal, h, kernel)
 
     def prime_info(self, p: int, sym: int, wide: bool) -> PrimeClassInfo:
         """prime_class_info for a prime p with sym = (d/p), neither rechecked.
@@ -598,28 +613,6 @@ def _class_number(d: int, wide: bool) -> int:
         return _class_number_neg(d)
     t = _table(d)
     return t.h_wide if wide else t.h_plus
-
-
-def _order_2part_neg(d: int, h: int, f) -> int:
-    """Largest 2-power dividing the order of f's class, for d < 0 and h = h(d).
-
-    A reduced form is its class's label, so f^m, m the odd part of h, is
-    squared until it reduces to the principal form.
-    """
-    m = h // (h & -h)
-    one = principal_form(d)
-    x, y = _reduce_def(*f), one
-    while m:
-        if m & 1:
-            y = _reduce_def(*_compose_raw(y, x, d))
-        m >>= 1
-        if m:
-            x = _reduce_def(*_compose_raw(x, x, d))
-    part = 1
-    while y != one:
-        y = _reduce_def(*_compose_raw(y, y, d))
-        part *= 2
-    return part
 
 
 @dataclass(frozen=True)
@@ -776,7 +769,11 @@ def _require_prime(p: int) -> None:
 
 
 def prime_form(d: int, p: int) -> QuadForm:
-    """A form (p, b, c) of discriminant d for a prime p split or ramified in Q(sqrt(d))."""
+    """A form (p, b, c) of discriminant d for a prime p split or ramified in Q(sqrt(d)).
+
+    Raises ValueError unless d = 0 or 1 mod 4 and p is prime.
+    """
+    _require_discriminant(d)
     _require_prime(p)
     if kronecker(d, p) == -1:
         raise NoSquareRoot(f"{p} is inert in discriminant {d}")
@@ -811,12 +808,20 @@ def prime_class_info(d: int, p: int, wide: bool = True) -> PrimeClassInfo:
 def _prime_info(d: int, p: int, sym: int, wide: bool = True) -> PrimeClassInfo:
     """prime_class_info for a prime p with sym = (d/p), unchecked.
 
-    For d < 0, where narrow equals wide, no table is built: the prime form
-    is walked by _order_2part_neg with h from _class_number_neg.
+    For d < 0, where narrow equals wide, no table is built: a reduced
+    form labels its class, so _order_2part walks the reduced prime form
+    under composition, with h from _class_number_neg.
     """
     if d > 0:
         return _table(d).prime_info(p, sym, wide)
     if sym == -1:
         return _INERT
-    part = _order_2part_neg(d, _class_number_neg(d), _prime_form(d, p))
+    one = principal_form(d)
+    part = _order_2part(
+        lambda f, g: _reduce_def(*_compose_raw(f, g, d)),
+        _reduce_def(*_prime_form(d, p)),
+        one,
+        _class_number_neg(d),
+        (one,),
+    )
     return PrimeClassInfo("split" if sym == 1 else "ramified", part)

@@ -1,19 +1,22 @@
 """Redei matrices over F2, 2- and 4-rank formulas, and open-case classification.
 
-This module alone builds and reads Redei matrices, in one form: the tuple
-of column bitmasks cols with no diagonal, bit i of cols[j] the entry
-_entry(d_i, p_j) for i != j (_redei_columns).  The field on the discs in a
-bitmask sub of them has the columns cols[j] & sub for j in sub, and each
-diagonal entry is its column's parity, so _four_rank reads the 4-rank of
-any such subfield off one field's columns.  redei_matrix alone turns the
-columns into rows.  The classification catalog (catalog.txt) lists the
-open 5x5 matrix cases for imaginary quadratic fields with five ramified
-primes, in the numbering of Sueyoshi's and Benjamin's casework.  That
-casework reads only the sign codes of a field's discs, in order, and its
-Redei matrix, so classification is a cached function of (sign codes,
-columns), keyed on the column tuple itself.  It backtracks over
-assignments of the discs to catalog slots, checking sign codes and fixed
-entries as each slot is filled, once per pair it meets.
+This module builds Redei matrices and owns their one form: the tuple of
+column bitmasks cols with no diagonal, bit i of cols[j] the entry
+_entry(d_i, p_j) for i != j (_redei_columns).  tower reads witness bits
+off it as cols[j] & sub, and search assembles columns bit by bit in the
+same orientation; every rank and classification is read here.  The field
+on the discs in a bitmask sub of them has the columns cols[j] & sub for j
+in sub, and each diagonal entry is its column's parity, so _four_rank
+reads the 4-rank of any such subfield off one field's columns.
+redei_matrix alone turns the columns into rows.  The classification
+catalog (catalog.txt) lists the open 5x5 matrix cases for imaginary
+quadratic fields with five ramified primes, in the numbering of Sueyoshi's
+and Benjamin's casework.  That casework reads only the sign codes of a
+field's discs, in order, and its Redei matrix, so classification is a
+cached function of (sign codes, columns), keyed on the column tuple
+itself.  It backtracks over assignments of the discs to catalog slots,
+checking sign codes and fixed entries as each slot is filled, once per
+pair it meets.
 """
 
 from __future__ import annotations

@@ -10,11 +10,11 @@ code's candidate pool, one bit per candidate, so a hole's filter is a few
 ANDs of whole columns and its candidate count a popcount.  It walks the
 hole fillings in ascending |D| and stops at the `count`-th field that
 classifies as the case.  Each field it meets is classified once, on its
-Redei columns in redei's form (bit i of column j is the entry of slot i's
-disc at slot j's prime): the OR of bits made once per call (known against
-known, and each candidate's against the known discs, read off the same
-pool bitmasks) and the filling's own hole-against-hole entries, so results
-are verified, never assumed.
+Redei columns, assembled here bit by bit in the orientation redei owns (bit
+i of column j is the entry of slot i's disc at slot j's prime): the OR of
+bits made once per call (known against known, and each candidate's against
+the known discs, read off the same pool bitmasks) and the filling's own
+hole-against-hole entries, so results are verified, never assumed.
 """
 
 from __future__ import annotations

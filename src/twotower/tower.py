@@ -15,14 +15,16 @@ gs_required states the Golod-Shafarevich threshold once.
 
 A base field F is a subset sub of K's discs, so every Redei entry F needs
 is one of K's: each call takes K's Redei columns from redei once into
-_Masks, with K's sign mask, and K's 4-rank, case and every F's 4-rank are
-read off those columns by redei.  _checked_base turns a given F into sub,
-_base_fields yields analyze's, and _kind counts signs.  _evaluate is the
-one route from sub to |Cl_2(F)|, its Witness records and the bound (only
-checked: d_F is fundamental by construction).  An F of narrow Redei
-4-rank 0 takes the genus rule on the masks (_genus_witnesses).  Else h is
-counted, on reduced forms for an imaginary F (each witness's order 2-part
-from powering its prime form) and off the class table for a real F.
+_Masks, with K's sign mask.  K's 4-rank, case and every F's 4-rank are
+read off those columns by redei, and each witness's genus characters here,
+as the bits cols[j] & sub in redei's orientation.  _checked_base turns a
+given F into sub, _base_fields yields analyze's, and _kind counts signs.
+_evaluate is the one route from sub to |Cl_2(F)|, its Witness records and
+the bound (only checked: d_F is fundamental by construction).  An F of
+narrow Redei 4-rank 0 takes the genus rule on the masks
+(_genus_witnesses).  Else h is counted, on reduced forms for an imaginary
+F (each witness's order 2-part from powering its prime form) and off the
+class table for a real F.
 """
 
 from __future__ import annotations

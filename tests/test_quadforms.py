@@ -685,6 +685,18 @@ def test_prime_form_and_class_info_reject_non_primes(within):
                 prime_form(d, n)
 
 
+def test_forms_reject_non_discriminants():
+    # No form has a discriminant that is 2 or 3 mod 4; building one anyway
+    # gives a form of another discriminant, e.g. (1, 0, 1) for -6.
+    for call, args in [(principal_form, (-6,)), (principal_form, (7,)), (prime_form, (-6, 11))]:
+        with pytest.raises(ValueError, match="not a discriminant"):
+            call(*args)
+    # Non-fundamental discriminants keep their forms.
+    assert prime_form(-12, 3) == QuadForm(3, 0, 1)
+    assert principal_form(-12) == QuadForm(1, 0, 3)
+    assert principal_form(-3) == QuadForm(1, 1, 1)
+
+
 def _order_2part_oracle(d, p, wide):
     """2-part of the order of a prime above p, by public composition alone.
 
